@@ -124,7 +124,9 @@ def median_peak(sample) -> float:
     return float(np.median(paths.max(axis=1)))
 
 
-def _unit_coefficients(rng: np.random.Generator, law: str, df: float, size: int) -> np.ndarray:
+def _unit_coefficients(
+    rng: np.random.Generator, law: str, df: float, size: tuple[int, ...]
+) -> np.ndarray:
     """Mean-zero, unit-variance draws under the requested law."""
     if law == "gaussian":
         return rng.standard_normal(size)
@@ -134,13 +136,15 @@ def _unit_coefficients(rng: np.random.Generator, law: str, df: float, size: int)
 
 
 def draw_coefficients(spec: MeasureSpec, count: int) -> np.ndarray:
-    """(count, n_terms) coefficient matrix; row l comes from substream l."""
+    """(count, n_terms) coefficient matrix drawn from the one stream ``spec.seed``.
+
+    The matrix is filled in row order, so a longer run extends a shorter
+    one: the first k rows do not depend on ``count``.
+    """
     if count < 1:
         raise ValueError("need at least one draw")
-    out = np.empty((count, spec.n_terms))
-    for draw in range(count):
-        rng = substream(spec.seed, draw)
-        out[draw] = _unit_coefficients(rng, spec.law, spec.df, spec.n_terms)
+    rng = substream(spec.seed)
+    out = _unit_coefficients(rng, spec.law, spec.df, (count, spec.n_terms))
     out *= spec.coeff_sd
     out[:, 0] += spec.mean_level
     return out
@@ -150,7 +154,8 @@ def draw_functions(spec: MeasureSpec, grid: TimeGrid, count: int) -> MeasureDraw
     """Materialize ``count`` independent random functions on ``grid``.
 
     Pure in (spec, grid, count): the same inputs always produce the same
-    matrix, bit for bit, because draw l depends only on (spec.seed, l).
+    matrix, bit for bit, because every draw comes from the one stream keyed
+    by ``spec.seed``; a longer run extends a shorter one.
     """
     coeffs = draw_coefficients(spec, count)
     return MeasureDraws(values=coeffs @ basis_matrix(spec.n_terms, grid), spec=spec)

@@ -143,9 +143,10 @@ def make_plans(
     ``exhaustive`` enumerates every distinct assignment exactly once
     (error when the count exceeds ``cap``); ``sampled`` returns the
     identity plus ``count - 1`` independent uniform relabelings, with
-    duplicates permitted.  Plan q of a sampled list is drawn from the
-    substream keyed (seed, q), so plan generation parallelizes without
-    changing results.
+    duplicates permitted.  All sampled relabelings come from the one
+    stream keyed ``seed``, drawn in plan order, so a longer plan list
+    extends a shorter one.  Sampled plans hold read-only views of one
+    (count, N) matrix.
     """
     sizes = tuple(int(n) for n in group_sizes)
     if len(sizes) < 2:
@@ -169,11 +170,10 @@ def make_plans(
     if mode == "sampled":
         if count is None or count < 1:
             raise ValueError("sampled mode needs a positive plan count")
-        base = _identity_assignment(sizes)
-        plans = [PermutationPlan(base, 0)]
-        for q in range(1, count):
-            plans.append(PermutationPlan(substream(seed, q).permutation(base), q))
-        return plans
+        matrix = np.tile(_identity_assignment(sizes), (count, 1))
+        substream(seed).permuted(matrix[1:], axis=1, out=matrix[1:])
+        matrix.flags.writeable = False
+        return [PermutationPlan(row, q) for q, row in enumerate(matrix)]
     raise ValueError(f"unknown plan mode {mode!r}")
 
 

@@ -1,11 +1,19 @@
 """Keyed random-number substreams.
 
 Every source of randomness in the package is derived from a user seed plus
-an explicit integer key path (replication index, permutation index, draw
-index, ...).  Streams with different key paths are statistically
-independent, and the mapping (seed, key) -> stream is pure, so results do
-not depend on the order in which streams are created or consumed.  This is
-what makes parallel evaluation bit-reproducible.
+an explicit integer key path (replication index, stage, ...).  Each stage
+draws everything it needs -- all coefficient rows of a measure, all
+sampled plans -- from the one stream its key path names, in a fixed order,
+so a longer run extends a shorter one.  Streams with different key paths
+are statistically independent, and the mapping (seed, key) -> stream is
+pure, so results do not depend on the order in which the stages run or
+how replications are scheduled.  This is what makes parallel evaluation
+bit-reproducible.
+
+Key paths must never differ only by appended zeros: SeedSequence fills
+its entropy pool up with zeros, so ``SeedSequence([5, 1])`` and
+``SeedSequence([5, 1, 0])`` give the same state, and the streams keyed
+``(5, 1)`` and ``(5, 1, 0)`` would be one stream.
 """
 
 from __future__ import annotations

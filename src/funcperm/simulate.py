@@ -22,7 +22,7 @@ import numpy as np
 
 from .measure import MeasureSpec, draw_functions, median_peak
 from .permutation import decide, make_plans, permutation_distributions
-from .rng import Seed, substream
+from .rng import Seed, seed_entropy, substream
 from .samples import TimeGrid
 
 MEAN_SHIFT = 0.05
@@ -286,7 +286,7 @@ def run_replication(config: StudyConfig, rep: int) -> dict[str, bool]:
             n_terms=config.n_terms,
             mean_level=level,
             law=config.coeff_law,
-            seed=(*_entropy(config.seed), design.design_id, rep, 1),
+            seed=seed_entropy(config.seed, design.design_id, rep, 1),
         )
         draws = draw_functions(spec, TimeGrid.regular(design.horizon), config.n_draws)
 
@@ -294,7 +294,7 @@ def run_replication(config: StudyConfig, rep: int) -> dict[str, bool]:
         sizes,
         "sampled",
         config.n_perms,
-        seed=(*_entropy(config.seed), design.design_id, rep, 2),
+        seed=seed_entropy(config.seed, design.design_id, rep, 2),
     )
     dists = permutation_distributions(pooled, sizes, plans, wanted, draws)
 
@@ -322,10 +322,6 @@ def run_replication(config: StudyConfig, rep: int) -> dict[str, bool]:
             dists["energy"].observed, dists["energy"], alpha_total, config.mode, decision_rng
         ).rejected
     return out
-
-
-def _entropy(seed: Seed) -> tuple[int, ...]:
-    return (seed,) if isinstance(seed, int) else tuple(seed)
 
 
 def _replication_task(payload: tuple[StudyConfig, int]) -> dict[str, bool]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from funcperm import (
+    COEFF_LAWS,
     FunctionalSample,
     MeasureDraws,
     MeasureSpec,
@@ -109,10 +110,12 @@ def test_draws_are_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
-def test_draw_prefix_stable_in_count():
-    # draw l depends only on (seed, l), so longer runs extend shorter ones
+@pytest.mark.parametrize("law", COEFF_LAWS)
+def test_draw_prefix_stable_in_count(law):
+    # all draws come from one stream filled in row order, so longer runs
+    # extend shorter ones; student-t's rejection sampler must keep this too
     grid = TimeGrid.regular(5)
-    spec = MeasureSpec(n_terms=3, mean_level=0.0, seed=21)
+    spec = MeasureSpec(n_terms=3, mean_level=0.0, law=law, seed=21)
     short = draw_functions(spec, grid, 10).values
     long = draw_functions(spec, grid, 25).values
     assert np.array_equal(long[:10], short)

@@ -18,6 +18,7 @@ from funcperm import (
     number_of_assignments,
     p_value,
     permutation_distributions,
+    permutation_statistics,
 )
 from funcperm.rng import substream
 
@@ -66,10 +67,33 @@ def test_sampled_deterministic_per_index():
     b = make_plans((5, 5), "sampled", count=10, seed=9)
     for x, y in zip(a, b):
         assert np.array_equal(x.assignment, y.assignment)
-    # plan q depends only on (seed, q), not on the count requested
+    # plans come from one stream in plan order, so a shorter list is a
+    # prefix of a longer one
     c = make_plans((5, 5), "sampled", count=4, seed=9)
     for x, y in zip(c, a):
         assert np.array_equal(x.assignment, y.assignment)
+
+
+def test_sampled_single_plan_is_identity():
+    plans = make_plans((3, 2), "sampled", count=1, seed=4)
+    assert len(plans) == 1
+    assert plans[0].assignment.tolist() == [0, 0, 0, 1, 1]
+    assert plans[0].index == 0
+
+
+def test_sampled_plans_uniform_over_assignments():
+    # sizes (2, 2) have 6 assignments; every relabeling after the identity
+    # must be one of them, and all 6 must turn up at the uniform rate
+    count = 3001
+    plans = make_plans((2, 2), "sampled", count=count, seed=17)
+    rows = np.stack([p.assignment for p in plans[1:]])
+    assert np.all(rows.sum(axis=1) == 2)
+    assert np.all(np.isin(rows, (0, 1)))
+    _, freq = np.unique(rows, axis=0, return_counts=True)
+    assert freq.shape[0] == 6
+    expected = (count - 1) / 6
+    sd = math.sqrt((count - 1) * (1 / 6) * (5 / 6))
+    assert np.all(np.abs(freq - expected) <= 5 * sd)
 
 
 def test_make_plans_validation():
@@ -321,6 +345,26 @@ def test_engine_identity_plan_matches_standalone():
     assert dists["energy"].observed == pytest.approx(
         energy_statistic(groups).value, rel=1e-12
     )
+
+
+def test_engine_repeated_partition_is_bit_identical():
+    # each statistic is a fixed function of the partition, so a plan that
+    # repeats the identity must reproduce its value exactly, wherever it
+    # sits in the plan matrix
+    rng = np.random.default_rng(15)
+    sizes = (4, 3, 5)
+    pooled = rng.normal(size=(sum(sizes), 6))
+    draws = MeasureDraws(values=rng.normal(size=(33, 6)))
+    plans = make_plans(sizes, "sampled", count=12, seed=6)
+    matrix = np.stack([p.assignment for p in plans])
+    matrix[3] = matrix[0]
+    matrix[7] = matrix[0]
+    names = ("cvm", "mean_path", "energy")
+    out = permutation_statistics(pooled, sizes, matrix, names, draws)
+    for name in names:
+        stats = out[name]
+        assert stats[3] == stats[0], name
+        assert stats[7] == stats[0], name
 
 
 def test_engine_rejects_plan_violating_sizes():

@@ -1,0 +1,21 @@
+import numpy as np
+import pytest
+
+from funcperm.rng import seed_entropy
+
+
+def _state(seed, *key):
+    return tuple(np.random.SeedSequence(seed_entropy(seed, *key)).generate_state(4))
+
+
+@pytest.mark.parametrize("seed", [0, 7, (3, 11)])
+def test_stage_streams_do_not_alias(seed):
+    # SeedSequence pads entropy with zeros, so key paths that differ only by
+    # appended zeros would share one stream; every stage must get its own
+    for design, rep in [(1, 0), (1, 1), (10, 3)]:
+        # run_replication: simulation, measure, plans, decisions
+        states = {_state(seed, design, rep, stage) for stage in range(4)}
+        assert len(states) == 4
+    # the test command: measure (seed, 1), plans (seed, 2), decisions (seed, 3, 1)
+    states = {_state(seed, 1), _state(seed, 2), _state(seed, 3, 1)}
+    assert len(states) == 3
