@@ -48,7 +48,6 @@ from .permutation import (
     number_of_assignments,
     p_value,
     permutation_distributions,
-    permutation_statistics,
     run_combined_test,
 )
 from .rng import substream
@@ -95,6 +94,7 @@ from .stats import (
     mean_path_statistic,
     mean_path_statistic_multi,
     pairwise_distances,
+    permutation_statistics,
 )
 
 __version__ = "0.1.0"

@@ -113,6 +113,8 @@ def _floats(text: str) -> tuple[float, ...]:
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     file_values = _parse_config_file(args.config) if args.config else {}
+    if "threads" in file_values and args.command != "simulate":
+        raise ValueError(f"config key 'threads' does not apply to {args.command}")
 
     def pick(flag, key, parse=lambda v: v):
         if flag is not None:
@@ -139,7 +141,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     setattr_if("n_terms", pick(args.K, "K", int))
     setattr_if("seed", pick(args.seed, "seed", int))
     setattr_if("mode", pick(args.mode, "mode"))
-    setattr_if("threads", pick(args.threads, "threads", int))
+    setattr_if("threads", pick(getattr(args, "threads", None), "threads", int))
     setattr_if("mu1", pick(getattr(args, "mu1", None), "mu1"))
     setattr_if("coeff_law", pick(getattr(args, "coeff_law", None), "coeff_law"))
     designs = pick(getattr(args, "designs", None), "designs", _ints)
@@ -343,7 +345,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--mode", choices=("randomized", "conservative"),
                         help="decision rule on critical-value ties")
-    parser.add_argument("--threads", type=int, help="parallel worker cap")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")
 
 
@@ -366,6 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--designs", help="comma-separated design ids (1..10)")
     p_sim.add_argument("--tests", help="comma-separated subset of tau,eta,sr")
     p_sim.add_argument("--reps", type=int, help="Monte Carlo replications")
+    p_sim.add_argument("--threads", type=int, help="parallel worker cap")
     p_sim.add_argument("--sizes", help="comma-separated group sizes")
     p_sim.add_argument("--T", type=int, help="grid points per path")
     p_sim.add_argument("--shift-scale", dest="shift_scale", type=float,

@@ -1,4 +1,7 @@
-"""Group-relabeling permutations, critical values, and decision rules.
+"""Group-relabeling plans, critical values, and decision rules.
+
+This module owns plans, critical values and decisions; the statistics
+themselves, for one plan or many, live in :mod:`funcperm.stats`.
 
 The test recomputes a statistic under relabelings of the pooled sample
 that keep the group sizes fixed.  Because the statistic is a deterministic
@@ -27,9 +30,7 @@ import numpy as np
 from .measure import MeasureDraws
 from .rng import Seed, substream
 from .samples import pooled_by_group
-from .stats import indicator_matrix, pairwise_distances
-
-PERMUTATION_STATISTICS = ("cvm", "mean_path", "energy")
+from .stats import permutation_statistics
 
 # Guard against alpha resolutions so fine that float rounding of
 # Q*(1-alpha) could move the order-statistic index.
@@ -51,10 +52,9 @@ class PermutationPlan:
 
 @dataclass(frozen=True)
 class PermutationDistribution:
-    """Plan statistics, identity plan first; optionally tagged with a level."""
+    """Plan statistics, identity plan first."""
 
     stats: np.ndarray  # (Q,)
-    level: float | None = None
 
     def __post_init__(self) -> None:
         stats = np.asarray(self.stats, dtype=float)
@@ -177,91 +177,16 @@ def make_plans(
     raise ValueError(f"unknown plan mode {mode!r}")
 
 
-def _plan_matrix(plans, group_sizes: Sequence[int]) -> np.ndarray:
-    if isinstance(plans, np.ndarray):
-        matrix = np.asarray(plans, dtype=np.int8)
-    else:
-        matrix = np.stack([p.assignment for p in plans])
-    if matrix.ndim != 2 or matrix.shape[1] != sum(group_sizes):
-        raise ValueError("plans do not match the pooled sample length")
-    return matrix
-
-
-def permutation_statistics(
-    pooled: np.ndarray,
-    group_sizes: Sequence[int],
-    plans,
-    statistics: Sequence[str],
-    draws: MeasureDraws | None = None,
-) -> dict[str, np.ndarray]:
-    """Evaluate the requested statistics under every plan at once.
-
-    ``pooled`` must hold the rows in group-block order so that the
-    identity assignment reproduces the observed grouping.  All plans are
-    evaluated against the same ``draws``, which is what makes the sampled
-    test exact for any number of draws.
-
-    The heavy lifting is a handful of matrix products: group membership
-    masks hold exact 0/1 values, so CDF counts are exact integers and the
-    per-plan statistic is a fixed function of the partition.
-    """
-    unknown = set(statistics) - set(PERMUTATION_STATISTICS)
-    if unknown:
-        raise ValueError(f"unknown statistics {sorted(unknown)}")
-    sizes = tuple(int(n) for n in group_sizes)
-    pooled = np.asarray(pooled, dtype=float)
-    matrix = _plan_matrix(plans, sizes)
-    n_groups = len(sizes)
-    masks = [(matrix == s).astype(np.float64) for s in range(n_groups)]
-    for s, mask in enumerate(masks):
-        if not np.all(mask.sum(axis=1) == sizes[s]):
-            raise ValueError("a plan does not respect the group sizes")
-
-    out: dict[str, np.ndarray] = {}
-    n0 = sizes[0]
-    if "cvm" in statistics:
-        if draws is None:
-            raise ValueError("the cvm statistic needs measure draws")
-        below = indicator_matrix(pooled, draws.values)  # (N, L), exact 0/1
-        cdf = [masks[s] @ below / sizes[s] for s in range(n_groups)]
-        total = np.zeros(matrix.shape[0])
-        for s in range(1, n_groups):
-            total += (n0 + sizes[s]) * np.mean((cdf[0] - cdf[s]) ** 2, axis=1)
-        out["cvm"] = total
-    if "mean_path" in statistics:
-        means = [masks[s] @ pooled / sizes[s] for s in range(n_groups)]
-        total = np.zeros(matrix.shape[0])
-        for s in range(1, n_groups):
-            total += (n0 + sizes[s]) * np.mean((means[0] - means[s]) ** 2, axis=1)
-        out["mean_path"] = total
-    if "energy" in statistics:
-        dist = pairwise_distances(pooled)
-        rows = [masks[s] @ dist for s in range(n_groups)]
-        within = [
-            np.einsum("qn,qn->q", rows[s], masks[s]) / sizes[s] ** 2
-            for s in range(n_groups)
-        ]
-        total = np.zeros(matrix.shape[0])
-        for s in range(1, n_groups):
-            cross = np.einsum("qn,qn->q", rows[0], masks[s]) / (n0 * sizes[s])
-            total += n0 * sizes[s] / (n0 + sizes[s]) * (
-                2.0 * cross - within[0] - within[s]
-            )
-        out["energy"] = np.maximum(total, 0.0)
-    return out
-
-
 def permutation_distributions(
     pooled: np.ndarray,
     group_sizes: Sequence[int],
     plans,
     statistics: Sequence[str] = ("cvm", "mean_path"),
     draws: MeasureDraws | None = None,
-    level: float | None = None,
 ) -> dict[str, PermutationDistribution]:
     """Wrap :func:`permutation_statistics` results as distributions."""
     raw = permutation_statistics(pooled, group_sizes, plans, statistics, draws)
-    return {name: PermutationDistribution(stats, level) for name, stats in raw.items()}
+    return {name: PermutationDistribution(stats) for name, stats in raw.items()}
 
 
 def critical_value(dist: PermutationDistribution, alpha: float) -> float:

@@ -1,14 +1,19 @@
 """Distance statistics between groups of observed paths.
 
+This module owns every statistic, for one plan or many:
+:func:`permutation_statistics` evaluates them under a whole matrix of
+group assignments at once, and the standalone functions are that engine
+run on the single identity assignment, so each standalone value is plan 0.
+
 Three statistics, all nonnegative and zero when the compared groups are
 indistinguishable:
 
-* ``cvm_*``: Cramer-von Mises-type distance between group empirical CDFs
+* ``cvm``: Cramer-von Mises-type distance between group empirical CDFs
   evaluated at random functions (the rows of a :class:`MeasureDraws`);
-* ``mean_path_*``: scaled average squared difference of pointwise group
+* ``mean_path``: scaled average squared difference of pointwise group
   mean paths;
-* ``energy_statistic``: the multi-sample energy distance built from
-  pairwise Euclidean distances between grid-evaluated paths.
+* ``energy``: the multi-sample energy distance built from pairwise
+  Euclidean distances between grid-evaluated paths.
 
 The multi-group forms sum control-versus-treatment terms over the
 treatment groups; with a single treatment they reduce exactly to the
@@ -106,28 +111,26 @@ def indicator_matrix(paths, zvalues) -> np.ndarray:
     return out
 
 
+def _identity_plan_statistic(
+    kind: str, groups: Sequence[np.ndarray], draws: MeasureDraws | None = None
+) -> StatisticValue:
+    """Plan 0 of :func:`permutation_statistics` on the pooled groups."""
+    mats = _check_groups(groups)
+    sizes = tuple(m.shape[0] for m in mats)
+    identity = np.repeat(np.arange(len(sizes)), sizes)[None]
+    stats = permutation_statistics(np.vstack(mats), sizes, identity, (kind,), draws)
+    n_draws = None if draws is None else draws.n_draws
+    return StatisticValue(kind, float(stats[kind][0]), sizes, n_draws=n_draws)
+
+
 def cvm_statistic_multi(groups: Sequence[np.ndarray], draws: MeasureDraws) -> StatisticValue:
     """Summed CDF-distance terms, control (group 0) versus each treatment.
 
     Each term is (n_0 + n_s) times the average over draws of the squared
-    difference of the two empirical CDFs.  Deterministic in (groups,
-    draws): recomputation is bit-identical.
+    difference of the two empirical CDFs.  The value is plan 0 of
+    :func:`permutation_statistics`, so recomputation is bit-identical.
     """
-    mats = _check_groups(groups)
-    if mats[0].shape[1] != draws.values.shape[1]:
-        raise ValueError("draws and paths must share the same grid width")
-    cdf = [indicator_matrix(m, draws.values).mean(axis=0) for m in mats]
-    n0 = mats[0].shape[0]
-    total = 0.0
-    for s in range(1, len(mats)):
-        n_s = mats[s].shape[0]
-        total += (n0 + n_s) * float(np.mean((cdf[0] - cdf[s]) ** 2))
-    return StatisticValue(
-        "cvm",
-        total,
-        tuple(m.shape[0] for m in mats),
-        n_draws=draws.n_draws,
-    )
+    return _identity_plan_statistic("cvm", groups, draws)
 
 
 def cvm_statistic(group_a, group_b, draws: MeasureDraws) -> StatisticValue:
@@ -139,16 +142,10 @@ def mean_path_statistic_multi(groups: Sequence[np.ndarray]) -> StatisticValue:
     """Summed mean-path distance terms, control versus each treatment.
 
     Each term is (n_0 + n_s) times the average over grid points of the
-    squared difference of the group mean paths.
+    squared difference of the group mean paths.  The value is plan 0 of
+    :func:`permutation_statistics`.
     """
-    mats = _check_groups(groups)
-    means = [m.mean(axis=0) for m in mats]
-    n0 = mats[0].shape[0]
-    total = 0.0
-    for s in range(1, len(mats)):
-        n_s = mats[s].shape[0]
-        total += (n0 + n_s) * float(np.mean((means[0] - means[s]) ** 2))
-    return StatisticValue("mean_path", total, tuple(m.shape[0] for m in mats))
+    return _identity_plan_statistic("mean_path", groups)
 
 
 def mean_path_statistic(group_a, group_b) -> StatisticValue:
@@ -161,8 +158,12 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
 
     Uses the Gram-matrix identity, which runs the O(N^2 J) work through
     BLAS; squared distances are clipped at zero before the square root.
+    Row 0 is first moved to the origin, or a large common offset would
+    cancel away the distances; a data row, unlike the mean, keeps dyadic
+    inputs exact.
     """
     points = _as_matrix(points)
+    points = points - points[:1]
     sq = np.einsum("ij,ij->i", points, points)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
     np.maximum(d2, 0.0, out=d2)
@@ -176,22 +177,90 @@ def energy_statistic(groups: Sequence[np.ndarray]) -> StatisticValue:
 
     For each treatment s the term is n_0 n_s / (n_0 + n_s) times
     2 E||X_0 - X_s|| - E||X_0 - X_0'|| - E||X_s - X_s'||, with all-pairs
-    averages (diagonal included) over the observed paths.
+    averages (diagonal included) over the observed paths.  The value is
+    plan 0 of :func:`permutation_statistics`.
     """
-    mats = _check_groups(groups)
-    sizes = [m.shape[0] for m in mats]
-    pooled = np.vstack(mats)
-    dist = pairwise_distances(pooled)
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    blocks = [slice(bounds[s], bounds[s + 1]) for s in range(len(mats))]
+    return _identity_plan_statistic("energy", groups)
+
+
+PERMUTATION_STATISTICS = ("cvm", "mean_path", "energy")
+
+
+def _plan_matrix(plans, group_sizes: Sequence[int]) -> np.ndarray:
+    if isinstance(plans, np.ndarray):
+        matrix = plans
+    else:
+        matrix = np.stack([p.assignment for p in plans])
+    if matrix.ndim != 2 or matrix.shape[1] != sum(group_sizes):
+        raise ValueError("plans do not match the pooled sample length")
+    return matrix
+
+
+def _group_mean_contrast(masks, sizes, features: np.ndarray) -> np.ndarray:
+    """Per plan, the CvM / mean-path sum over treatments of group-mean contrasts."""
+    means = [mask @ features / n for mask, n in zip(masks, sizes)]
+    total = np.zeros(masks[0].shape[0])
+    for s in range(1, len(sizes)):
+        total += (sizes[0] + sizes[s]) * np.mean((means[0] - means[s]) ** 2, axis=1)
+    return total
+
+
+def _distance_contrast(masks, sizes, dist: np.ndarray) -> np.ndarray:
+    """Per plan, the energy sum over treatments of distance-kernel contrasts."""
+    rows = [mask @ dist for mask in masks]
+    within = [
+        np.einsum("qn,qn->q", rows[s], masks[s]) / sizes[s] ** 2
+        for s in range(len(sizes))
+    ]
     n0 = sizes[0]
-    within0 = float(dist[blocks[0], blocks[0]].mean())
-    total = 0.0
-    for s in range(1, len(mats)):
-        n_s = sizes[s]
-        cross = float(dist[blocks[0], blocks[s]].mean())
-        within_s = float(dist[blocks[s], blocks[s]].mean())
-        total += n0 * n_s / (n0 + n_s) * (2.0 * cross - within0 - within_s)
+    total = np.zeros(masks[0].shape[0])
+    for s in range(1, len(sizes)):
+        cross = np.einsum("qn,qn->q", rows[0], masks[s]) / (n0 * sizes[s])
+        total += n0 * sizes[s] / (n0 + sizes[s]) * (
+            2.0 * cross - within[0] - within[s]
+        )
     # Clip away negative rounding residue from exactly-zero configurations.
-    total = max(total, 0.0)
-    return StatisticValue("energy", total, tuple(sizes))
+    return np.maximum(total, 0.0)
+
+
+def permutation_statistics(
+    pooled: np.ndarray,
+    group_sizes: Sequence[int],
+    plans,
+    statistics: Sequence[str],
+    draws: MeasureDraws | None = None,
+) -> dict[str, np.ndarray]:
+    """Evaluate the requested statistics under every plan at once.
+
+    ``pooled`` must hold the rows in group-block order so that the
+    identity assignment reproduces the observed grouping.  ``plans`` is a
+    sequence of objects with an ``assignment`` row or a (Q, N) matrix of
+    group labels.  All plans are evaluated against the same ``draws``,
+    which is what makes the sampled test exact for any number of draws.
+
+    The heavy lifting is a handful of matrix products: group membership
+    masks hold exact 0/1 values, so CDF counts are exact integers and the
+    per-plan statistic is a fixed function of the partition.
+    """
+    unknown = set(statistics) - set(PERMUTATION_STATISTICS)
+    if unknown:
+        raise ValueError(f"unknown statistics {sorted(unknown)}")
+    sizes = tuple(int(n) for n in group_sizes)
+    pooled = np.asarray(pooled, dtype=float)
+    matrix = _plan_matrix(plans, sizes)
+    masks = [(matrix == s).astype(np.float64) for s in range(len(sizes))]
+    for s, mask in enumerate(masks):
+        if not np.all(mask.sum(axis=1) == sizes[s]):
+            raise ValueError("a plan does not respect the group sizes")
+
+    out: dict[str, np.ndarray] = {}
+    if "cvm" in statistics:
+        if draws is None:
+            raise ValueError("the cvm statistic needs measure draws")
+        below = indicator_matrix(pooled, draws.values)  # (N, L), exact 0/1
+        out["cvm"] = _group_mean_contrast(masks, sizes, below)
+    if "mean_path" in statistics:
+        out["mean_path"] = _group_mean_contrast(masks, sizes, pooled)
+    if "energy" in statistics:
+        out["energy"] = _distance_contrast(masks, sizes, pairwise_distances(pooled))
+    return out

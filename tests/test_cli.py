@@ -231,3 +231,30 @@ def test_power_analytic_eval_points_echoed(tmp_path, capsys):
     text = (out / "correlation_shift_power.csv").read_text()
     assert "# eval_points = (-0.4, 0.4)" in text
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["test", "power-analytic"])
+def test_threads_flag_only_on_simulate(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--threads", "2", "--out-dir", tmp_path / "o"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["test", "power-analytic"])
+def test_threads_config_key_only_on_simulate(tmp_path, capsys, command):
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads = 2\n")
+    code = run([command, "--config", cfg, "--out-dir", tmp_path / "o"])
+    assert code == 2
+    assert "'threads'" in capsys.readouterr().err
+
+
+def test_simulate_accepts_threads_flag_and_config_key(tmp_path, capsys):
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads = 2\n")
+    code = run(["simulate", "--config", cfg, "--threads", "1", "--designs", "1",
+                "--tests", "tau", "--reps", "2", "--perms", "19", "--sizes", "3,3,3",
+                "--T", "8", "--K", "3", "--L", "8", "--out-dir", tmp_path / "o"])
+    assert code == 0
+    capsys.readouterr()

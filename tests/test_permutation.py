@@ -23,8 +23,8 @@ from funcperm import (
 from funcperm.rng import substream
 
 
-def dist_of(values, level=None) -> PermutationDistribution:
-    return PermutationDistribution(np.asarray(values, dtype=float), level)
+def dist_of(values) -> PermutationDistribution:
+    return PermutationDistribution(np.asarray(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -262,38 +262,60 @@ def test_combined_p_value_matches_conservative_rule():
 # engine versus standalone statistics and brute force
 # ---------------------------------------------------------------------------
 
+def _partitions(free, sizes):
+    """Every split of ``free`` into blocks of ``sizes``, group 0 first."""
+    if not sizes:
+        yield []
+        return
+    for combo in itertools.combinations(free, sizes[0]):
+        rest = [i for i in free if i not in combo]
+        for tail in _partitions(rest, sizes[1:]):
+            yield [list(combo)] + tail
+
+
 def brute_force_plan_stats(pooled, sizes, draws_values):
-    """Independent enumerator: plain Python loops over combinations."""
-    n0, n1 = sizes
-    n_total = n0 + n1
+    """Independent enumerator: plain Python loops over combinations.
+
+    Sums control-versus-treatment terms for any number of groups.
+    """
     rows = [tuple(r) for r in np.asarray(pooled).tolist()]
     zlist = [tuple(z) for z in np.asarray(draws_values).tolist()]
     width = len(rows[0])
+
+    def cdf(group, z):
+        hits = sum(1 for r in group if all(r[j] <= z[j] for j in range(width)))
+        return hits / len(group)
+
+    def distance(u, v):
+        return sum((x - y) ** 2 for x, y in zip(u, v)) ** 0.5
+
+    def mean_distance(g, h):
+        return sum(distance(u, v) for u in g for v in h) / (len(g) * len(h))
+
     out_cvm, out_mean, out_energy = [], [], []
-    for combo in itertools.combinations(range(n_total), n0):
-        in_a = set(combo)
-        a = [rows[i] for i in range(n_total) if i in in_a]
-        b = [rows[i] for i in range(n_total) if i not in in_a]
-        acc = 0.0
-        for z in zlist:
-            fa = sum(1 for r in a if all(r[j] <= z[j] for j in range(width))) / n0
-            fb = sum(1 for r in b if all(r[j] <= z[j] for j in range(width))) / n1
-            acc += (fa - fb) ** 2
-        out_cvm.append(n_total * (acc / len(zlist)))
-        acc = 0.0
-        for j in range(width):
-            ma = sum(r[j] for r in a) / n0
-            mb = sum(r[j] for r in b) / n1
-            acc += (ma - mb) ** 2
-        out_mean.append(n_total * acc / width)
-
-        def distance(u, v):
-            return sum((x - y) ** 2 for x, y in zip(u, v)) ** 0.5
-
-        cross = sum(distance(u, v) for u in a for v in b) / (n0 * n1)
-        within_a = sum(distance(u, v) for u in a for v in a) / n0**2
-        within_b = sum(distance(u, v) for u in b for v in b) / n1**2
-        out_energy.append(n0 * n1 / n_total * (2 * cross - within_a - within_b))
+    for blocks in _partitions(list(range(len(rows))), list(sizes)):
+        groups = [[rows[i] for i in block] for block in blocks]
+        a = groups[0]
+        n0 = len(a)
+        tot_cvm = tot_mean = tot_energy = 0.0
+        for b in groups[1:]:
+            n1 = len(b)
+            acc = 0.0
+            for z in zlist:
+                acc += (cdf(a, z) - cdf(b, z)) ** 2
+            tot_cvm += (n0 + n1) * (acc / len(zlist))
+            acc = 0.0
+            for j in range(width):
+                ma = sum(r[j] for r in a) / n0
+                mb = sum(r[j] for r in b) / n1
+                acc += (ma - mb) ** 2
+            tot_mean += (n0 + n1) * acc / width
+            tot_energy += n0 * n1 / (n0 + n1) * (
+                2 * mean_distance(a, b) - mean_distance(a, a) - mean_distance(b, b)
+            )
+        out_cvm.append(tot_cvm)
+        out_mean.append(tot_mean)
+        out_energy.append(tot_energy)
     return out_cvm, out_mean, out_energy
 
 
@@ -323,6 +345,23 @@ def test_engine_matches_brute_force_general_data():
         pooled, (4, 3), plans, ("cvm", "mean_path", "energy"), MeasureDraws(values=zvals)
     )
     oc, om, oe = brute_force_plan_stats(pooled, (4, 3), zvals)
+    assert np.allclose(dists["cvm"].stats, oc, rtol=1e-12, atol=1e-14)
+    assert np.allclose(dists["mean_path"].stats, om, rtol=1e-12, atol=1e-14)
+    assert np.allclose(dists["energy"].stats, oe, rtol=1e-12, atol=1e-14)
+
+
+def test_engine_matches_brute_force_three_groups():
+    # every one of the 7!/(3!2!2!) = 210 plans, against the plain-loop oracle
+    rng = np.random.default_rng(16)
+    sizes = (3, 2, 2)
+    pooled = rng.normal(size=(7, 3))
+    zvals = rng.normal(size=(6, 3))
+    plans = make_plans(sizes, "exhaustive")
+    assert len(plans) == 210
+    dists = permutation_distributions(
+        pooled, sizes, plans, ("cvm", "mean_path", "energy"), MeasureDraws(values=zvals)
+    )
+    oc, om, oe = brute_force_plan_stats(pooled, sizes, zvals)
     assert np.allclose(dists["cvm"].stats, oc, rtol=1e-12, atol=1e-14)
     assert np.allclose(dists["mean_path"].stats, om, rtol=1e-12, atol=1e-14)
     assert np.allclose(dists["energy"].stats, oe, rtol=1e-12, atol=1e-14)
@@ -383,7 +422,8 @@ def test_conservative_rule_never_exceeds_level_under_null():
     hits = 0
     for rep in range(reps):
         pooled = rng_data.normal(size=(12, 3))
-        plans = make_plans((6, 6), "sampled", count=99, seed=(44, rep))
+        # key (44, 0) would be the data stream itself: trailing zeros alias
+        plans = make_plans((6, 6), "sampled", count=99, seed=(44, 1, rep))
         dist = permutation_distributions(pooled, (6, 6), plans, ("mean_path",))["mean_path"]
         hits += decide(dist.observed, dist, alpha, "conservative").rejected
     rate = hits / reps

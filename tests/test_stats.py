@@ -230,6 +230,16 @@ def test_energy_translation_invariant():
     assert moved == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
+def test_energy_translation_invariant_at_large_offset():
+    # tightly clustered paths far from the origin: the Gram identity on
+    # uncentred rows cancels away the distances unless the rows are shifted
+    rng = np.random.default_rng(0)
+    groups = [rng.normal(scale=1e-3, size=(10, 48)) for _ in range(2)]
+    base = energy_statistic(groups).value
+    moved = energy_statistic([g + 1e6 for g in groups]).value
+    assert moved == pytest.approx(base, rel=1e-6)
+
+
 def test_energy_nonnegative_on_random_inputs():
     rng = np.random.default_rng(18)
     for _ in range(10):
