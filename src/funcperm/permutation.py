@@ -135,7 +135,7 @@ def make_plans(
     group_sizes: Sequence[int],
     mode: str = "sampled",
     count: int | None = None,
-    seed: Seed = 0,
+    seed: Seed | None = None,
     cap: int = 1_000_000,
 ) -> list[PermutationPlan]:
     """Build the plan list the permutation engine iterates.
@@ -145,8 +145,10 @@ def make_plans(
     identity plus ``count - 1`` independent uniform relabelings, with
     duplicates permitted.  All sampled relabelings come from the one
     stream keyed ``seed``, drawn in plan order, so a longer plan list
-    extends a shorter one.  Sampled plans hold read-only views of one
-    (count, N) matrix.
+    extends a shorter one.  Sampled mode needs an explicit ``seed``: a
+    default would share its stream with any other stage left at the same
+    default, such as ``MeasureSpec.seed``.  Sampled plans hold read-only
+    views of one (count, N) matrix.
     """
     sizes = tuple(int(n) for n in group_sizes)
     if len(sizes) < 2:
@@ -170,6 +172,8 @@ def make_plans(
     if mode == "sampled":
         if count is None or count < 1:
             raise ValueError("sampled mode needs a positive plan count")
+        if seed is None:
+            raise ValueError("sampled mode needs an explicit seed")
         matrix = np.tile(_identity_assignment(sizes), (count, 1))
         substream(seed).permuted(matrix[1:], axis=1, out=matrix[1:])
         matrix.flags.writeable = False

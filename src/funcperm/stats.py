@@ -19,11 +19,25 @@ The multi-group forms sum control-versus-treatment terms over the
 treatment groups; with a single treatment they reduce exactly to the
 two-sample forms.
 
-Numerical contract: CDF counts are sums of exact 0/1 values and therefore
-exact; the remaining reductions use numpy's pairwise summation, so
-recomputing any statistic on the same inputs is bit-identical, and
-mathematically equivalent summation orders agree to better than 1e-12
-relative error at the sizes this package targets.
+Numerical contract:
+
+* the CvM indicator is a ``bool`` (N, L) matrix, exact by construction;
+* draws whose pooled count is 0 or N are the same for every group under
+  every plan, so they add exactly 0 and are dropped before the group
+  counts; the average still divides by all L draws;
+* group counts are float32 0/1 masks times float32 indicator columns;
+  every partial sum is an integer at most N < 2**24, so the counts are
+  exact whatever the summation order or thread count, and they become
+  float64 before the division by the group size (N above 2**24 is
+  rejected);
+* the remaining reductions use numpy's pairwise summation, so
+  recomputing any statistic on the same inputs is bit-identical, and
+  mathematically equivalent summation orders agree to better than 1e-12
+  relative error at the sizes this package targets.
+
+The set of dropped draws depends only on the pooled paths and the draws,
+never on the plan, so each statistic stays a fixed function of the
+partition.
 """
 
 from __future__ import annotations
@@ -35,9 +49,9 @@ import numpy as np
 
 from .measure import MeasureDraws
 
-# Bound on the element count of the temporary (N, chunk, J) comparison
-# block, so the indicator matrix never allocates more than ~64 MB at once.
-_CHUNK_ELEMS = 1 << 26
+# float32 holds every integer up to 2**24 exactly, so group counts of at
+# most this many paths are exact in float32.
+_MAX_EXACT_COUNT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -90,24 +104,22 @@ def ecdf_indicator(paths, z) -> float:
 
 
 def indicator_matrix(paths, zvalues) -> np.ndarray:
-    """(N, L) 0/1 matrix: entry (i, l) is 1 iff path i <= draw l everywhere.
+    """(N, L) bool matrix: entry (i, l) is True iff path i <= draw l everywhere.
 
-    Computed in chunks over draws to bound peak memory.  Entries are exact
-    integers in float64, so any downstream summation of them is exact.
+    Built one grid point at a time: the comparisons at each point are
+    AND-ed into the result, so the only temporary is one (N, L) bool
+    block, whatever the grid width.
     """
     paths = _as_matrix(paths)
     zvalues = _as_matrix(zvalues)
-    n, width = paths.shape
-    if zvalues.shape[1] != width:
+    if zvalues.shape[1] != paths.shape[1]:
         raise ValueError("draws and paths must share the same grid width")
-    n_draws = zvalues.shape[0]
-    out = np.empty((n, n_draws), dtype=np.float64)
-    step = max(1, _CHUNK_ELEMS // max(1, n * width))
-    for start in range(0, n_draws, step):
-        block = zvalues[start : start + step]
-        out[:, start : start + block.shape[0]] = np.all(
-            paths[:, None, :] <= block[None, :, :], axis=2
-        )
+    # one contiguous row per grid point, read whole by the loop below
+    path_cols = np.ascontiguousarray(paths.T)
+    draw_cols = np.ascontiguousarray(zvalues.T)
+    out = np.ones((paths.shape[0], zvalues.shape[0]), dtype=bool)
+    for path_col, draw_col in zip(path_cols, draw_cols):
+        out &= path_col[:, None] <= draw_col[None, :]
     return out
 
 
@@ -196,17 +208,34 @@ def _plan_matrix(plans, group_sizes: Sequence[int]) -> np.ndarray:
     return matrix
 
 
-def _group_mean_contrast(masks, sizes, features: np.ndarray) -> np.ndarray:
-    """Per plan, the CvM / mean-path sum over treatments of group-mean contrasts."""
-    means = [mask @ features / n for mask, n in zip(masks, sizes)]
+def _group_mean_contrast(masks, sizes, features: np.ndarray, width: int) -> np.ndarray:
+    """Per plan, the CvM / mean-path sum over treatments of group-mean contrasts.
+
+    Group sums are taken in the dtype of ``features`` and divided by the
+    group size in float64.  ``features`` may leave out columns that are
+    equal for every group; ``width`` counts them too and divides the
+    average.  Group means are formed one treatment at a time, so at most
+    three (Q, columns) blocks are live, whatever the number of groups.
+    """
+
+    def group_mean(s: int) -> np.ndarray:
+        sums = masks[s].astype(features.dtype) @ features
+        return np.divide(sums, sizes[s], dtype=np.float64)
+
+    control = group_mean(0)
     total = np.zeros(masks[0].shape[0])
     for s in range(1, len(sizes)):
-        total += (sizes[0] + sizes[s]) * np.mean((means[0] - means[s]) ** 2, axis=1)
+        contrast = group_mean(s)
+        np.subtract(control, contrast, out=contrast)
+        np.square(contrast, out=contrast)
+        total += (sizes[0] + sizes[s]) * (contrast.sum(axis=1) / width)
+        del contrast  # free it before the next treatment's block is built
     return total
 
 
 def _distance_contrast(masks, sizes, dist: np.ndarray) -> np.ndarray:
     """Per plan, the energy sum over treatments of distance-kernel contrasts."""
+    masks = [mask.astype(np.float64) for mask in masks]
     rows = [mask @ dist for mask in masks]
     within = [
         np.einsum("qn,qn->q", rows[s], masks[s]) / sizes[s] ** 2
@@ -240,27 +269,37 @@ def permutation_statistics(
 
     The heavy lifting is a handful of matrix products: group membership
     masks hold exact 0/1 values, so CDF counts are exact integers and the
-    per-plan statistic is a fixed function of the partition.
+    per-plan statistic is a fixed function of the partition.  The cvm
+    statistic needs at most 2**24 pooled paths, the most for which float32
+    counts are exact.
     """
     unknown = set(statistics) - set(PERMUTATION_STATISTICS)
     if unknown:
         raise ValueError(f"unknown statistics {sorted(unknown)}")
     sizes = tuple(int(n) for n in group_sizes)
+    if "cvm" in statistics:
+        if draws is None:
+            raise ValueError("the cvm statistic needs measure draws")
+        if sum(sizes) > _MAX_EXACT_COUNT:
+            raise ValueError("the cvm statistic supports at most 2**24 pooled paths")
     pooled = np.asarray(pooled, dtype=float)
     matrix = _plan_matrix(plans, sizes)
-    masks = [(matrix == s).astype(np.float64) for s in range(len(sizes))]
+    masks = [matrix == s for s in range(len(sizes))]
     for s, mask in enumerate(masks):
         if not np.all(mask.sum(axis=1) == sizes[s]):
             raise ValueError("a plan does not respect the group sizes")
 
     out: dict[str, np.ndarray] = {}
     if "cvm" in statistics:
-        if draws is None:
-            raise ValueError("the cvm statistic needs measure draws")
-        below = indicator_matrix(pooled, draws.values)  # (N, L), exact 0/1
-        out["cvm"] = _group_mean_contrast(masks, sizes, below)
+        below = indicator_matrix(pooled, draws.values)
+        pooled_count = np.count_nonzero(below, axis=0)
+        # a draw every path is below, or none is, has the same CDF in every
+        # group under every plan: it adds exactly 0 but still counts in L
+        varying = (pooled_count > 0) & (pooled_count < below.shape[0])
+        hits = below[:, varying].astype(np.float32)
+        out["cvm"] = _group_mean_contrast(masks, sizes, hits, below.shape[1])
     if "mean_path" in statistics:
-        out["mean_path"] = _group_mean_contrast(masks, sizes, pooled)
+        out["mean_path"] = _group_mean_contrast(masks, sizes, pooled, pooled.shape[1])
     if "energy" in statistics:
         out["energy"] = _distance_contrast(masks, sizes, pairwise_distances(pooled))
     return out

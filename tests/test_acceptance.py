@@ -33,7 +33,8 @@ def test_criterion_1_exact_size():
     alphas = (0.01, 0.05, 0.10)
     base = fp.synthetic_baseline(width)
     draws = fp.draw_functions(
-        fp.MeasureSpec(n_terms=5, mean_level=2.2, seed=(seed, 1)),
+        # (seed, reps, 1) is no rep's key, nor a rep key with zeros appended
+        fp.MeasureSpec(n_terms=5, mean_level=2.2, seed=(seed, reps, 1)),
         fp.TimeGrid.regular(width),
         64,
     )
@@ -126,7 +127,8 @@ def test_criterion_3_combined_size_bound():
     alpha_cvm, alpha_mean = 0.04, 0.01
     base = fp.synthetic_baseline(width)
     draws = fp.draw_functions(
-        fp.MeasureSpec(n_terms=5, mean_level=2.2, seed=(seed, 1)),
+        # (seed, reps, 1) is no rep's key, nor a rep key with zeros appended
+        fp.MeasureSpec(n_terms=5, mean_level=2.2, seed=(seed, reps, 1)),
         fp.TimeGrid.regular(width),
         64,
     )

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from funcperm import (
     cvm_statistic_multi,
     decide,
     energy_statistic,
+    indicator_matrix,
     make_plans,
     mean_path_statistic_multi,
     number_of_assignments,
@@ -103,6 +105,13 @@ def test_make_plans_validation():
         make_plans((2, 2), "sampled", count=0)
     with pytest.raises(ValueError):
         make_plans((2, 2), "bogus")
+
+
+def test_sampled_plans_need_explicit_seed():
+    # a default seed would share its stream with other defaulted stages
+    with pytest.raises(ValueError, match="seed"):
+        make_plans((2, 2), "sampled", count=3)
+    assert len(make_plans((2, 2), "exhaustive")) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +413,67 @@ def test_engine_repeated_partition_is_bit_identical():
         stats = out[name]
         assert stats[3] == stats[0], name
         assert stats[7] == stats[0], name
+
+
+def _with_constant_draws(zvals, pooled):
+    """Append draws above every path and below every path: each has the
+    same pooled count (N or 0) under every plan."""
+    above = np.full((2, pooled.shape[1]), pooled.max() + 0.5)
+    below = np.full((2, pooled.shape[1]), pooled.min() - 0.5)
+    return np.vstack([above[:1], below[:1], zvals, above[1:], below[1:]])
+
+
+def test_engine_constant_draws_add_zero_but_count_in_average():
+    # dyadic width-one data and L = 7 < 8 draws: the oracle adds every draw,
+    # the engine drops the constant ones; both divide by L, exactly
+    rng = np.random.default_rng(17)
+    pooled = rng.integers(-8, 9, size=(6, 1)) * 0.25
+    zvals = _with_constant_draws(rng.integers(-8, 9, size=(3, 1)) * 0.25, pooled)
+    assert zvals.shape[0] == 7
+    plans = make_plans((3, 3), "exhaustive")
+    out = permutation_statistics(pooled, (3, 3), plans, ("cvm",), MeasureDraws(values=zvals))
+    oc, _, _ = brute_force_plan_stats(pooled, (3, 3), zvals)
+    assert out["cvm"].tolist() == oc
+
+    # general data, several grid points and L = 13 draws
+    pooled = rng.normal(size=(7, 3))
+    zvals = _with_constant_draws(rng.normal(size=(9, 3)), pooled)
+    plans = make_plans((4, 3), "exhaustive")
+    out = permutation_statistics(pooled, (4, 3), plans, ("cvm",), MeasureDraws(values=zvals))
+    oc, _, _ = brute_force_plan_stats(pooled, (4, 3), zvals)
+    assert np.allclose(out["cvm"], oc, rtol=1e-12, atol=0.0)
+
+
+def test_engine_rejects_more_paths_than_exact_float32_counts():
+    draws = MeasureDraws(values=np.zeros((1, 1)))
+    plan = np.zeros((1, 2), dtype=np.int8)
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        permutation_statistics(np.zeros((2, 1)), (2**24, 1), plan, ("cvm",), draws)
+
+
+def test_engine_cvm_peak_memory_bounded():
+    # Q = 2000 plans, 3 x 100 paths, J = 24, L = 1000 draws, every draw
+    # informative (the most memory the CvM step can need at these sizes)
+    rng = np.random.default_rng(3)
+    sizes, width, q, n_draws = (100, 100, 100), 24, 2000, 1000
+    n = sum(sizes)
+    pooled = rng.normal(size=(n, 1)) + 0.1 * rng.normal(size=(n, width))
+    levels = rng.uniform(-1.0, 2.0, size=(n_draws, 1))
+    draws = MeasureDraws(values=levels + 0.1 * rng.normal(size=(n_draws, width)))
+    count = indicator_matrix(pooled, draws.values).sum(axis=0)
+    assert np.all((count > 0) & (count < n))
+    plans = make_plans(sizes, "sampled", count=q, seed=(5, 2))
+    tracemalloc.start()
+    try:
+        permutation_statistics(pooled, sizes, plans, ("cvm",), draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # live at the peak: the control's float64 (Q, L) means, one treatment's
+    # float32 counts and float64 means, the bool group masks and the int8
+    # plan matrix, and the (N, L) indicator, its temporary and float32 copy
+    layout = 20 * q * n_draws + (len(sizes) + 1) * q * n + 6 * n * n_draws
+    assert peak <= 1.1 * layout
 
 
 def test_engine_rejects_plan_violating_sizes():

@@ -19,3 +19,9 @@ def test_stage_streams_do_not_alias(seed):
     # the test command: measure (seed, 1), plans (seed, 2), decisions (seed, 3, 1)
     states = {_state(seed, 1), _state(seed, 2), _state(seed, 3, 1)}
     assert len(states) == 3
+    # acceptance criteria 1 and 3: measure (seed, reps, 1); rep r's data,
+    # plans and decisions (seed, r, 0), (seed, r, 2), (seed, r, 3)
+    reps = 2000
+    rep_states = {_state(seed, rep, stage) for rep in range(reps) for stage in (0, 2, 3)}
+    assert len(rep_states) == 3 * reps
+    assert _state(seed, reps, 1) not in rep_states

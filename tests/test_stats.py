@@ -65,6 +65,22 @@ def test_indicator_matrix_matches_scalar_op():
         assert mat[:, l].mean() == ecdf_indicator(paths, z)
 
 
+def test_indicator_matrix_is_bool_and_matches_loop_with_ties():
+    # dyadic values on a coarse lattice make many exact ties, at every one
+    # of several grid points; the comparison must stay non-strict
+    rng = np.random.default_rng(21)
+    paths = rng.integers(-2, 3, size=(12, 3)) * 0.5
+    zvals = np.vstack([paths[:4], rng.integers(-2, 3, size=(30, 3)) * 0.5])
+    mat = indicator_matrix(paths, zvals)
+    assert mat.dtype == np.bool_
+    oracle = [
+        [all(p[j] <= z[j] for j in range(3)) for z in zvals.tolist()]
+        for p in paths.tolist()
+    ]
+    assert mat.tolist() == oracle
+    assert mat[np.arange(4), np.arange(4)].all()  # a path is below itself
+
+
 # ---------------------------------------------------------------------------
 # CDF-distance statistic
 # ---------------------------------------------------------------------------
