@@ -10,14 +10,17 @@ CSV contract (UTF-8, comma separated, no quoting of numeric fields)::
     1,0,0.31,0.28,...
     2,1,0.05,0.11,...
 
-``group`` is a base-10 integer, path values are base-10 decimals.  Missing
-or non-finite values are rejected, never imputed.
+``id`` labels a unit and must be unique; ids are compared after stripping
+surrounding whitespace, and a repeat is rejected.  ``group`` is a base-10
+integer, path values are base-10 decimals.  Missing or non-finite values
+are rejected, never imputed.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Union
@@ -126,6 +129,27 @@ def _text_lines(source: Source):
     return io.StringIO(data)
 
 
+def _finite_values(row: list[str], row_no: int) -> list[float]:
+    """Parse a row's path values one token at a time.
+
+    Raises :class:`SampleFormatError` at the first token that is not a
+    finite decimal; a row of finite values whose sum merely overflows is
+    returned as parsed.
+    """
+    values = []
+    for col, token in enumerate(row[2:], start=3):
+        try:
+            value = float(token)
+        except ValueError:
+            value = float("nan")
+        if not math.isfinite(value):
+            raise SampleFormatError(
+                f"non-numeric value at (row {row_no}, col {col})"
+            )
+        values.append(value)
+    return values
+
+
 def load_samples(source: Source) -> FunctionalSample:
     """Parse and validate a CSV stream into a :class:`FunctionalSample`.
 
@@ -149,6 +173,7 @@ def load_samples(source: Source) -> FunctionalSample:
 
     rows: list[list[float]] = []
     labels: list[int] = []
+    id_rows: dict[str, int] = {}
     for row_no, row in enumerate(reader, start=2):
         if not row:
             continue  # ignore blank lines
@@ -156,6 +181,12 @@ def load_samples(source: Source) -> FunctionalSample:
             raise SampleFormatError(
                 f"malformed row {row_no}: expected {n_fields} fields, "
                 f"got {len(row)}"
+            )
+        unit = row[0].strip()
+        first = id_rows.setdefault(unit, row_no)
+        if first != row_no:
+            raise SampleFormatError(
+                f"duplicate id '{unit}' at rows {first} and {row_no}"
             )
         try:
             group = int(row[1])
@@ -165,17 +196,14 @@ def load_samples(source: Source) -> FunctionalSample:
             ) from None
         if group < 0:
             raise SampleFormatError(f"negative group id at row {row_no}")
-        values = []
-        for col, token in enumerate(row[2:], start=3):
-            try:
-                value = float(token)
-            except ValueError:
-                value = float("nan")
-            if not np.isfinite(value):
-                raise SampleFormatError(
-                    f"non-numeric value at (row {row_no}, col {col})"
-                )
-            values.append(value)
+        # One float() pass and one finiteness test per row; a row that
+        # fails either is rescanned token by token to locate the fault.
+        try:
+            values = list(map(float, row[2:]))
+        except ValueError:
+            values = None
+        if values is None or not math.isfinite(sum(values)):
+            values = _finite_values(row, row_no)
         labels.append(group)
         rows.append(values)
 
@@ -194,7 +222,12 @@ def load_samples(source: Source) -> FunctionalSample:
 
 
 def serialize_samples(sample: FunctionalSample) -> bytes:
-    """Render a sample back to the CSV wire format (round-trips losslessly)."""
+    """Render a sample back to the CSV wire format.
+
+    Paths and labels round-trip exactly through :func:`load_samples`
+    (values are written with ``repr``).  Ids do not: a sample keeps none,
+    so rows are numbered 1..N in row order.
+    """
     buf = io.StringIO()
     time_names = [f"t{j}" for j in range(1, sample.grid.horizon + 1)]
     buf.write(",".join(["id", "group"] + time_names) + "\n")

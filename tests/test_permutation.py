@@ -476,6 +476,43 @@ def test_engine_cvm_peak_memory_bounded():
     assert peak <= 1.1 * layout
 
 
+def _engine_peak_bytes(statistic, sizes, width, q) -> int:
+    rng = np.random.default_rng(4)
+    pooled = rng.normal(size=(sum(sizes), width))
+    plans = make_plans(sizes, "sampled", count=q, seed=(6, 2))
+    tracemalloc.start()
+    try:
+        permutation_statistics(pooled, sizes, plans, (statistic,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_engine_mean_path_peak_memory_bounded():
+    # Q = 2000 plans, 3 x 100 paths, J = 24
+    sizes, width, q = (100, 100, 100), 24, 2000
+    n = sum(sizes)
+    peak = _engine_peak_bytes("mean_path", sizes, width, q)
+    # live at the peak: the int8 plan matrix and the bool group masks, one
+    # mask cast to float64, and the control's and one treatment's (Q, J)
+    # float64 group-mean blocks
+    layout = (len(sizes) + 1) * q * n + 8 * q * n + 16 * q * width
+    assert peak <= 1.1 * layout
+
+
+def test_engine_energy_peak_memory_bounded():
+    # Q = 2000 plans, 3 x 100 paths, J = 24
+    sizes, width, q = (100, 100, 100), 24, 2000
+    n = sum(sizes)
+    peak = _engine_peak_bytes("energy", sizes, width, q)
+    # live at the peak: the int8 plan matrix and the bool group masks,
+    # every mask cast to float64 and its (Q, N) float64 row block
+    # (mask @ distances), and the N x N distance matrix
+    layout = (len(sizes) + 1) * q * n + 16 * len(sizes) * q * n + 8 * n * n
+    assert peak <= 1.1 * layout
+
+
 def test_engine_rejects_plan_violating_sizes():
     pooled = np.zeros((4, 2))
     bad = np.array([[0, 0, 0, 1]], dtype=np.int8)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -85,7 +88,8 @@ def test_round_trip_identity():
     labels = np.array([0, 1, 0, 2, 1, 0, 2])
     sample = FunctionalSample(paths, labels, TimeGrid.regular(5))
     back = load_samples(serialize_samples(sample))
-    assert np.array_equal(back.paths, sample.paths)
+    assert back.paths.dtype == sample.paths.dtype
+    assert back.paths.tobytes() == sample.paths.tobytes()
     assert np.array_equal(back.labels, sample.labels)
     assert back.grid == sample.grid
 
@@ -152,3 +156,150 @@ def test_sample_is_immutable():
     sample = load_samples(MINIMAL)
     with pytest.raises(ValueError):
         sample.paths[0, 0] = 99.0
+
+
+def test_duplicate_id_rejected_with_both_rows():
+    # ids compare as stripped strings
+    bad = b"id,group,t1\n1,0,0.5\n 2,1,1.0\n3,0,0.0\n2 ,1,0.25\n"
+    with pytest.raises(SampleFormatError, match=r"^duplicate id '2' at rows 3 and 5$"):
+        load_samples(bad)
+
+
+def test_duplicate_id_checked_in_file_order():
+    # an earlier fault wins over a later duplicate ...
+    bad = b"id,group,t1\n1,0,0.5\n2,1,nan\n1,0,0.0\n"
+    with pytest.raises(SampleFormatError, match=r"non-numeric value at \(row 3, col 3\)"):
+        load_samples(bad)
+    # ... and within a row the id is checked right after the field count
+    bad = b"id,group,t1\n1,0,0.5\n2,1,1.0\n1,x,nan\n"
+    with pytest.raises(SampleFormatError, match=r"duplicate id '1' at rows 2 and 4"):
+        load_samples(bad)
+    bad = b"id,group,t1\n1,0,0.5\n2,1,1.0\n1,0\n"
+    with pytest.raises(SampleFormatError, match="malformed row 4"):
+        load_samples(bad)
+
+
+def test_finite_values_with_overflowing_sum_accepted():
+    sample = load_samples(b"id,group,t1,t2\n1,0,1e308,1e308\n2,1,-1e308,-1e308\n")
+    assert sample.paths.tolist() == [[1e308, 1e308], [-1e308, -1e308]]
+
+
+def test_first_bad_row_decides_the_error():
+    bad = b"id,group,t1,t2\n1,0,0.5,1.0\n2,1,0.5,nan\n3,0,0.0,1.0\n4,1,0.5\n"
+    with pytest.raises(SampleFormatError, match=r"^non-numeric value at \(row 3, col 4\)$"):
+        load_samples(bad)
+
+
+def _oracle_load(data: bytes) -> FunctionalSample:
+    """Reference parser: the sample contract checked one token at a time, ids aside."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SampleFormatError("empty input: missing header row") from None
+    header = [h.strip() for h in header]
+    if len(header) < 3 or header[0] != "id" or header[1] != "group":
+        raise SampleFormatError(
+            "malformed header: expected 'id,group,t1,...,tJ', got "
+            f"{','.join(header) or '(blank)'}"
+        )
+    n_fields = len(header)
+    n_times = n_fields - 2
+
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue  # ignore blank lines
+        if len(row) != n_fields:
+            raise SampleFormatError(
+                f"malformed row {row_no}: expected {n_fields} fields, "
+                f"got {len(row)}"
+            )
+        try:
+            group = int(row[1])
+        except ValueError:
+            raise SampleFormatError(
+                f"missing or non-integer group id at row {row_no}"
+            ) from None
+        if group < 0:
+            raise SampleFormatError(f"negative group id at row {row_no}")
+        values = []
+        for col, token in enumerate(row[2:], start=3):
+            try:
+                value = float(token)
+            except ValueError:
+                value = float("nan")
+            if not np.isfinite(value):
+                raise SampleFormatError(
+                    f"non-numeric value at (row {row_no}, col {col})"
+                )
+            values.append(value)
+        labels.append(group)
+        rows.append(values)
+
+    if not rows:
+        raise SampleFormatError("empty input: no data rows")
+
+    label_arr = np.asarray(labels)
+    present = np.bincount(label_arr)
+    if np.any(present == 0):
+        missing = [str(s) for s in np.flatnonzero(present == 0)]
+        raise SampleFormatError(
+            f"non-contiguous group ids: no rows for group(s) {', '.join(missing)}"
+        )
+    grid = TimeGrid.regular(n_times)
+    return FunctionalSample(np.asarray(rows, dtype=float), label_arr, grid)
+
+
+VALUE_FAULTS = ("nan", "inf", "-inf", "1e999", "oops", "")
+ODD_VALID_TOKENS = (" 1.5 ", "1_0", "+2e-3")
+
+
+def _faulty_csv(rng, n_faults: int) -> bytes:
+    n_rows, width = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+    labels = rng.integers(0, 3, size=n_rows)
+    rows = []
+    for unit, label in enumerate(labels, start=1):
+        tokens = [
+            str(rng.choice(ODD_VALID_TOKENS)) if rng.random() < 0.3 else repr(float(v))
+            for v in rng.normal(size=width)
+        ]
+        rows.append([str(unit), str(label)] + tokens)
+    # value faults go in before a field-count fault can shorten their row
+    for kind in sorted(rng.integers(3, size=n_faults), reverse=True):
+        row = rows[int(rng.integers(n_rows))]
+        if kind == 2:
+            row[2 + int(rng.integers(width))] = str(rng.choice(VALUE_FAULTS))
+        elif kind == 1:  # a bad group
+            row[1] = str(rng.choice(["-1", "x", "", "1.5"]))
+        elif rng.random() < 0.5:  # a wrong field count
+            row.pop()
+        else:
+            row.append("0.5")
+    header = ["id", "group"] + [f"t{j}" for j in range(1, width + 1)]
+    return "\n".join(",".join(r) for r in [header] + rows).encode() + b"\n"
+
+
+def _outcome(load, data: bytes):
+    try:
+        sample = load(data)
+    except SampleFormatError as err:
+        return str(err)
+    return sample.paths.tobytes(), sample.labels.tolist()
+
+
+def test_row_parse_matches_per_token_oracle():
+    rng = np.random.default_rng(12)
+    outcomes = []
+    for case in range(600):
+        data = _faulty_csv(rng, n_faults=case % 3)
+        outcome = _outcome(load_samples, data)
+        assert outcome == _outcome(_oracle_load, data), data
+        outcomes.append(outcome)
+    messages = [o for o in outcomes if isinstance(o, str)]
+    # every kind of fault, and clean files, actually occurred
+    for fragment in ("malformed row", "non-integer group", "negative group",
+                     "non-numeric value", "non-contiguous"):
+        assert any(fragment in m for m in messages), fragment
+    assert len(messages) < len(outcomes)
