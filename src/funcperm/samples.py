@@ -11,9 +11,9 @@ CSV contract (UTF-8, comma separated, no quoting of numeric fields)::
     2,1,0.05,0.11,...
 
 ``id`` labels a unit and must be unique; ids are compared after stripping
-surrounding whitespace, and a repeat is rejected.  ``group`` is a base-10
-integer, path values are base-10 decimals.  Missing or non-finite values
-are rejected, never imputed.
+surrounding whitespace, and a blank id or a repeat is rejected.
+``group`` is a base-10 integer, path values are base-10 decimals.
+Missing or non-finite values are rejected, never imputed.
 """
 
 from __future__ import annotations
@@ -183,6 +183,8 @@ def load_samples(source: Source) -> FunctionalSample:
                 f"got {len(row)}"
             )
         unit = row[0].strip()
+        if not unit:
+            raise SampleFormatError(f"blank id at row {row_no}")
         first = id_rows.setdefault(unit, row_no)
         if first != row_no:
             raise SampleFormatError(

@@ -21,7 +21,10 @@ two-sample forms.
 
 Numerical contract:
 
-* the CvM indicator is a ``bool`` (N, L) matrix, exact by construction;
+* the CvM indicator is a ``bool`` (N, L) matrix that equals the pointwise
+  ``<=`` test exactly: it is built from per-grid-point sorted orders,
+  prefix bitmasks and bitwise ANDs, so only comparisons decide it and no
+  arithmetic touches a path value (draws must be finite);
 * draws whose pooled count is 0 or N are the same for every group under
   every plan, so they add exactly 0 and are dropped before the group
   counts; the average still divides by all L draws;
@@ -52,6 +55,11 @@ from .measure import MeasureDraws
 # float32 holds every integer up to 2**24 exactly, so group counts of at
 # most this many paths are exact in float32.
 _MAX_EXACT_COUNT = 1 << 24
+
+# Bytes that indicator_matrix may hold for one block of grid points: their
+# prefix-bitmask tables and their sort and index arrays.  Small blocks stay
+# in cache.
+_INDICATOR_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -106,21 +114,73 @@ def ecdf_indicator(paths, z) -> float:
 def indicator_matrix(paths, zvalues) -> np.ndarray:
     """(N, L) bool matrix: entry (i, l) is True iff path i <= draw l everywhere.
 
-    Built one grid point at a time: the comparisons at each point are
-    AND-ed into the result, so the only temporary is one (N, L) bool
-    block, whatever the grid width.
+    Built from sorted orders, with no arithmetic on the values.  At each
+    grid point the paths at or below a draw are a prefix of that point's
+    sorted path order (tied paths are all in or all out), so the draw
+    selects one row of a table of prefix bitmasks: row c holds the bits
+    of the c lowest paths, path i being bit i % 64 of uint64 word i // 64.
+    The prefix length c comes from the draws' sorted order: path i is at
+    or below the draw in sorted position q iff at most q draws lie
+    strictly below path i, which one ``searchsorted`` of the sorted paths
+    per grid point counts.  The rows each draw selects are AND-ed over
+    the grid points and unpacked once.  Only comparisons in numpy's sort
+    order decide the result, so it equals the pointwise ``<=`` test
+    exactly, also for NaN, +inf and -inf paths and for -0.0 against +0.0.
+    Draws must be finite: a NaN draw would sort above every path.
+
+    A grid point's table takes (N + 1) * ceil(N/64) * 8 bytes, which is
+    more than the N x L result once N exceeds about 16 L.  Grid points
+    are taken in blocks whose tables and sort arrays fit
+    ``_INDICATOR_BLOCK_BYTES`` (at least one point per block).  The
+    result is the transpose of an (L, N) array.
     """
     paths = _as_matrix(paths)
     zvalues = _as_matrix(zvalues)
     if zvalues.shape[1] != paths.shape[1]:
         raise ValueError("draws and paths must share the same grid width")
-    # one contiguous row per grid point, read whole by the loop below
+    # min and max are NaN or infinite iff some draw is
+    if zvalues.size and not np.isfinite([zvalues.min(), zvalues.max()]).all():
+        raise ValueError("draws contain non-finite values")
+    (n_paths, width), n_draws = paths.shape, zvalues.shape[0]
+    words = max(1, -(-n_paths // 64))
+    bits = np.left_shift(np.uint64(1), np.arange(n_paths, dtype=np.uint64) & np.uint64(63))
+    acc = np.full((n_draws, words), np.iinfo(np.uint64).max, dtype=np.uint64)
     path_cols = np.ascontiguousarray(paths.T)
     draw_cols = np.ascontiguousarray(zvalues.T)
-    out = np.ones((paths.shape[0], zvalues.shape[0]), dtype=bool)
-    for path_col, draw_col in zip(path_cols, draw_cols):
-        out &= path_col[:, None] <= draw_col[None, :]
-    return out
+    # per grid point: its table and about eight int64 or float64 sort and
+    # index arrays of one entry per path or draw
+    block = max(1, _INDICATOR_BLOCK_BYTES // (8 * (words * (n_paths + 1) + 8 * (n_paths + n_draws))))
+    for start in range(0, width, block):
+        x = path_cols[start:start + block]
+        z = draw_cols[start:start + block]
+        n_points = x.shape[0]
+        point = np.arange(n_points)[:, None]
+        x_order = np.argsort(x, axis=1)
+        x_sorted = x.ravel().take(x_order + point * n_paths)
+        # flat indices into z, in each grid point's sorted draw order
+        z_order = np.argsort(z, axis=1)
+        z_order += point * n_draws
+        z_sorted = z.ravel().take(z_order)
+        tables = np.zeros((n_points, n_paths + 1, words), dtype=np.uint64)
+        tables[point, np.arange(1, n_paths + 1), x_order >> 6] = bits[x_order]
+        np.bitwise_or.accumulate(tables, axis=1, out=tables)
+        # prefix length at each sorted draw position, from the number of
+        # draws strictly below each path
+        strictly_below = np.stack([np.searchsorted(zs, xs) for zs, xs in zip(z_sorted, x_sorted)])
+        strictly_below += point * (n_draws + 1)
+        prefix = np.bincount(strictly_below.ravel(), minlength=n_points * (n_draws + 1))
+        prefix = prefix.reshape(n_points, n_draws + 1)[:, :n_draws].cumsum(axis=1)
+        # each draw's table row, in draw order, as a row of the flat tables
+        prefix += point * (n_paths + 1)
+        rows = np.empty(z.shape, dtype=np.intp)
+        rows.ravel()[z_order] = prefix
+        flat_tables = tables.reshape(-1, words)
+        for point_rows in rows:
+            acc &= flat_tables.take(point_rows, axis=0)
+    unpacked = np.unpackbits(
+        acc.astype("<u8", copy=False).view(np.uint8), axis=1, count=n_paths, bitorder="little"
+    )
+    return unpacked.view(np.bool_).T
 
 
 def _identity_plan_statistic(
@@ -211,15 +271,15 @@ def _plan_matrix(plans, group_sizes: Sequence[int]) -> np.ndarray:
 def _group_mean_contrast(masks, sizes, features: np.ndarray, width: int) -> np.ndarray:
     """Per plan, the CvM / mean-path sum over treatments of group-mean contrasts.
 
-    Group sums are taken in the dtype of ``features`` and divided by the
-    group size in float64.  ``features`` may leave out columns that are
-    equal for every group; ``width`` counts them too and divides the
-    average.  Group means are formed one treatment at a time, so at most
+    Group sums are taken in the dtype of ``features``, casting each mask
+    that is not already of that dtype, and divided by the group size in
+    float64.  ``features`` may leave out columns that are equal for every
+    group; ``width`` counts them too and divides the average.  Group means are formed one treatment at a time, so at most
     three (Q, columns) blocks are live, whatever the number of groups.
     """
 
     def group_mean(s: int) -> np.ndarray:
-        sums = masks[s].astype(features.dtype) @ features
+        sums = masks[s].astype(features.dtype, copy=False) @ features
         return np.divide(sums, sizes[s], dtype=np.float64)
 
     control = group_mean(0)
@@ -234,8 +294,10 @@ def _group_mean_contrast(masks, sizes, features: np.ndarray, width: int) -> np.n
 
 
 def _distance_contrast(masks, sizes, dist: np.ndarray) -> np.ndarray:
-    """Per plan, the energy sum over treatments of distance-kernel contrasts."""
-    masks = [mask.astype(np.float64) for mask in masks]
+    """Per plan, the energy sum over treatments of distance-kernel contrasts.
+
+    ``masks`` are the float64 group masks.
+    """
     rows = [mask @ dist for mask in masks]
     within = [
         np.einsum("qn,qn->q", rows[s], masks[s]) / sizes[s] ** 2
@@ -298,6 +360,9 @@ def permutation_statistics(
         varying = (pooled_count > 0) & (pooled_count < below.shape[0])
         hits = below[:, varying].astype(np.float32)
         out["cvm"] = _group_mean_contrast(masks, sizes, hits, below.shape[1])
+    if "energy" in statistics:
+        # energy needs every mask as float64 at once; mean_path shares them
+        masks = [mask.astype(np.float64) for mask in masks]
     if "mean_path" in statistics:
         out["mean_path"] = _group_mean_contrast(masks, sizes, pooled, pooled.shape[1])
     if "energy" in statistics:

@@ -179,6 +179,23 @@ def test_duplicate_id_checked_in_file_order():
         load_samples(bad)
 
 
+def test_blank_id_rejected():
+    for bad in (
+        b"id,group,t1\n,0,0.5\n2,1,1.0\n",
+        b"id,group,t1\n1,0,0.5\n  ,1,1.0\n",
+    ):
+        with pytest.raises(SampleFormatError, match=r"^blank id at row \d$"):
+            load_samples(bad)
+    # two blank ids: the first one is reported, not a duplicate
+    bad = b"id,group,t1\n1,0,0.5\n ,1,1.0\n3,0,0.0\n,1,0.25\n"
+    with pytest.raises(SampleFormatError, match=r"^blank id at row 3$"):
+        load_samples(bad)
+    # the blank check comes before the duplicate check, in file order
+    bad = b"id,group,t1\n1,0,0.5\n1,1,1.0\n,0,0.0\n"
+    with pytest.raises(SampleFormatError, match=r"^duplicate id '1' at rows 2 and 3$"):
+        load_samples(bad)
+
+
 def test_finite_values_with_overflowing_sum_accepted():
     sample = load_samples(b"id,group,t1,t2\n1,0,1e308,1e308\n2,1,-1e308,-1e308\n")
     assert sample.paths.tolist() == [[1e308, 1e308], [-1e308, -1e308]]

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from funcperm import stats
 from funcperm import (
     MeasureDraws,
     StatisticValue,
@@ -12,6 +15,7 @@ from funcperm import (
     mean_path_statistic,
     mean_path_statistic_multi,
     pairwise_distances,
+    permutation_statistics,
 )
 
 
@@ -79,6 +83,131 @@ def test_indicator_matrix_is_bool_and_matches_loop_with_ties():
     ]
     assert mat.tolist() == oracle
     assert mat[np.arange(4), np.arange(4)].all()  # a path is below itself
+
+
+def _indicator_loop(paths, zvalues) -> np.ndarray:
+    """Oracle: the comparison loop indicator_matrix used to run, verbatim.
+
+    One (N, L) block of ``<=`` comparisons per grid point, AND-ed in.
+    """
+    paths = np.asarray(paths, dtype=float)
+    zvalues = np.asarray(zvalues, dtype=float)
+    path_cols = np.ascontiguousarray(paths.T)
+    draw_cols = np.ascontiguousarray(zvalues.T)
+    out = np.ones((paths.shape[0], zvalues.shape[0]), dtype=bool)
+    for path_col, draw_col in zip(path_cols, draw_cols):
+        out &= path_col[:, None] <= draw_col[None, :]
+    return out
+
+
+def _dyadic_case(n_paths, width, seed):
+    """Paths and draws on a coarse dyadic lattice: many exact ties at every
+    grid point, draws that copy some paths, and draws between lattice
+    points."""
+    rng = np.random.default_rng(seed)
+    paths = rng.integers(-3, 4, size=(n_paths, width)) * 0.5
+    copies = paths[rng.integers(n_paths, size=min(n_paths, 8))]
+    between = rng.integers(-8, 9, size=(40, width)) * 0.25
+    return paths, np.vstack([copies, between])
+
+
+@pytest.mark.parametrize("width", [1, 2, 7])
+@pytest.mark.parametrize("n_paths", [1, 2, 63, 64, 65, 127, 128, 129, 700])
+def test_indicator_matrix_equals_comparison_loop_on_dyadic_ties(n_paths, width):
+    # N crosses 64-bit word boundaries; ties must stay non-strict
+    paths, zvals = _dyadic_case(n_paths, width, seed=n_paths * 10 + width)
+    mat = indicator_matrix(paths, zvals)
+    oracle = _indicator_loop(paths, zvals)
+    assert mat.dtype == np.bool_ and mat.shape == oracle.shape
+    assert np.array_equal(mat, oracle)
+    assert 0 < mat.sum() < mat.size
+
+
+def test_indicator_matrix_blocks_do_not_change_the_result(monkeypatch):
+    # budgets from one grid point per block up to every point in one
+    # block, so blocks of every size and uneven last blocks all occur
+    paths, zvals = _dyadic_case(700, 7, seed=3)
+    oracle = _indicator_loop(paths, zvals)
+    for budget in [1] + [1 << k for k in range(16, 24)]:
+        monkeypatch.setattr(stats, "_INDICATOR_BLOCK_BYTES", budget)
+        assert np.array_equal(indicator_matrix(paths, zvals), oracle), budget
+
+
+def test_indicator_matrix_non_finite_paths_and_signed_zeros():
+    # NaN and +inf paths are below no finite draw, -inf paths below every
+    # one, and -0.0 and +0.0 compare equal, as the pointwise test has it
+    nan, inf = np.nan, np.inf
+    paths = np.array(
+        [[0.0, 1.0], [-0.0, 1.0], [nan, 0.0], [inf, -1.0], [-inf, -inf],
+         [0.0, nan], [-inf, inf], [-0.0, -0.0], [1.0, 0.5]]
+    )
+    zvals = np.array(
+        [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [5.0, 5.0],
+         [-5.0, -5.0], [1.0, 0.5], [-1e308, 1e308]]
+    )
+    mat = indicator_matrix(paths, zvals)
+    assert np.array_equal(mat, _indicator_loop(paths, zvals))
+    assert mat[4].all() and not mat[2].any() and not mat[5].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_indicator_matrix_rejects_non_finite_draws(bad):
+    zvals = np.zeros((3, 2))
+    zvals[1, 1] = bad
+    with pytest.raises(ValueError, match="^draws contain non-finite values$"):
+        indicator_matrix(np.zeros((4, 2)), zvals)
+
+
+def test_indicator_matrix_degenerate_shapes():
+    for n_paths, width, n_draws in [(0, 3, 5), (4, 0, 5), (4, 3, 0)]:
+        paths = np.zeros((n_paths, width))
+        zvals = np.ones((n_draws, width))
+        assert np.array_equal(indicator_matrix(paths, zvals), _indicator_loop(paths, zvals))
+
+
+def test_indicator_matrix_peak_memory_bounded_by_block_budget(monkeypatch):
+    # N = 700 paths (11 words), J = 48, L = 1000: all 48 prefix tables at
+    # once would take 48 * 701 * 11 * 8 = 3.0 MB, more than the bound
+    budget = 1 << 20
+    monkeypatch.setattr(stats, "_INDICATOR_BLOCK_BYTES", budget)
+    rng = np.random.default_rng(8)
+    n_paths, width, n_draws = 700, 48, 1000
+    words = -(-n_paths // 64)
+    paths = rng.normal(size=(n_paths, width))
+    zvals = rng.normal(size=(n_draws, width))
+    tracemalloc.start()
+    try:
+        indicator_matrix(paths, zvals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # live at the peak: the unpacked (L, N) result, the packed (L, words)
+    # accumulator and the table rows one grid point selects (the same
+    # size), the transposed float64 copies of the paths and draws, and one
+    # block of tables and sort arrays
+    layout = (
+        n_paths * n_draws
+        + 2 * 8 * n_draws * words
+        + 8 * width * (n_paths + n_draws)
+        + budget
+    )
+    assert peak <= 1.1 * layout
+
+
+def test_cvm_statistics_unchanged_by_the_indicator_kernel(monkeypatch):
+    # every plan statistic is a function of the indicator alone, so the
+    # kernel must give the same bits as the comparison loop
+    rng = np.random.default_rng(19)
+    sizes = (40, 35, 45)
+    pooled = rng.normal(size=(sum(sizes), 24)).cumsum(axis=1) * 0.3
+    draws = MeasureDraws(values=rng.normal(size=(300, 24)).cumsum(axis=1) * 0.3 + 0.5)
+    plans = np.stack([rng.permutation(np.repeat(np.arange(3), sizes)) for _ in range(50)])
+    plans[0] = np.repeat(np.arange(3), sizes)
+    kernel = permutation_statistics(pooled, sizes, plans, ("cvm",), draws)["cvm"]
+    monkeypatch.setattr(stats, "indicator_matrix", _indicator_loop)
+    loop = permutation_statistics(pooled, sizes, plans, ("cvm",), draws)["cvm"]
+    assert kernel.tobytes() == loop.tobytes()
+    assert np.count_nonzero(kernel) > 0
 
 
 # ---------------------------------------------------------------------------
