@@ -85,7 +85,6 @@ from .special import (
     regularized_gamma_p,
 )
 from .stats import (
-    StatisticValue,
     cvm_statistic,
     cvm_statistic_multi,
     ecdf_indicator,

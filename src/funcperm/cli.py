@@ -6,8 +6,13 @@ Three subcommands:
 * ``simulate``        run a Monte Carlo power study over the standard designs
 * ``power-analytic``  emit the closed-form local power curves as CSV
 
-Options come from defaults, then an optional flat ``key = value`` config
-file, then command-line flags (later wins).  Exit status is 0 iff the
+Every option is one row of :data:`_OPTIONS`, which names its config-file
+key, parser, default, the commands that take it and its flag help.  Each
+command's flags and the config-file keys it accepts come from its rows;
+any other flag or key exits with status 2.  A value comes from the row's
+default, then an optional flat ``key = value`` config file (``--config``),
+then the flag (later wins), and all three go through the row's parser, so
+a bad value is reported with its key or flag.  Exit status is 0 iff the
 report was produced; the statistical decision never affects it.
 """
 
@@ -18,6 +23,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -25,170 +31,188 @@ from . import local_power
 from .measure import COEFF_LAWS, MeasureSpec, draw_functions, median_peak
 from .permutation import make_plans, run_combined_test
 from .samples import SampleFormatError, load_samples
-from .simulate import DESIGN_IDS, run_power_study
+from .simulate import DESIGN_IDS, TEST_NAMES, run_power_study
 
-_TEST_ALIASES = {
-    "tau": "cvm",
-    "cvm": "cvm",
-    "eta": "combined",
-    "combined": "combined",
-    "sr": "energy",
-    "energy": "energy",
-}
-
-_CONFIG_KEYS = {
-    "input", "out_dir", "alpha_tau", "alpha_nu", "alpha_split", "perms",
-    "n_perms", "K", "L", "seed", "mode", "threads", "mu1", "coeff_law",
-    "designs", "tests", "reps", "sizes", "T", "shift_scale", "eval_points",
-}
+# the paper's names of the tests, next to their own
+_TEST_ALIASES = {"tau": "cvm", "eta": "combined", "sr": "energy", **{t: t for t in TEST_NAMES}}
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    out_dir: str = "funcperm_out"
-    alpha_tau: float = 0.025
-    alpha_nu: float = 0.025
-    n_perms: int = 500
-    n_draws: int = 4000
-    n_terms: int = 19
-    seed: int = 0
-    mode: str = "randomized"
-    threads: int = 1
-    mu1: str = "auto"
-    coeff_law: str = "gaussian"
-    designs: tuple[int, ...] = DESIGN_IDS
-    tests: tuple[str, ...] = ("cvm", "combined", "energy")
-    reps: int = 300
-    sizes: tuple[int, ...] = (20, 20, 20)
-    horizon: int = 96
-    shift_scale: float = 1.0
-    eval_points: tuple[float, float] | None = None
+def _at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
 
-    def validate(self) -> None:
-        if not (self.alpha_tau > 0 and self.alpha_nu > 0):
-            raise ValueError("alpha levels must be positive")
-        if not self.alpha_tau + self.alpha_nu < 1:
-            raise ValueError("alpha levels must sum to less than one")
-        if self.n_perms < 19:
-            raise ValueError("need at least 19 permutations")
-        if self.n_terms < 1 or self.n_terms % 2 == 0:
-            raise ValueError("K must be an odd positive integer")
-        if self.n_draws < 1:
-            raise ValueError("L must be positive")
-        if self.mode not in ("randomized", "conservative"):
-            raise ValueError("mode must be randomized or conservative")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
-        if self.mu1 != "auto":
-            float(self.mu1)
-        if self.coeff_law not in COEFF_LAWS:
-            raise ValueError(f"coeff_law must be one of {COEFF_LAWS}")
+    return parse
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
+def _odd(text: str) -> int:
+    value = int(text)
+    if value < 1 or value % 2 == 0:
+        raise ValueError(f"must be an odd positive integer, got {value}")
+    return value
+
+
+def _level(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise ValueError(f"alpha levels must be positive, got {value}")
+    return value
+
+
+def _one_of(*choices: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}, got {text!r}")
+        return text
+
+    return parse
+
+
+def _mu1(text: str) -> str:
+    """'auto' or a number, kept as written for the report's provenance."""
+    if text != "auto":
+        float(text)
+    return text
+
+
+def _design(text: str) -> int:
+    value = int(text)
+    if value not in DESIGN_IDS:
+        raise ValueError(f"unknown design id {value}; expected 1..10")
+    return value
+
+
+def _test_name(text: str) -> str:
+    if text.lower() not in _TEST_ALIASES:
+        raise ValueError(f"unknown test {text!r}; choose from tau/eta/sr")
+    return _TEST_ALIASES[text.lower()]
+
+
+def _values(parse: Callable[[str], Any], count: int | None = None) -> Callable[[str], tuple]:
+    """Parser of a comma-separated list: exactly ``count`` values, or at
+    least one when ``count`` is None.  Empty tokens are skipped."""
+
+    def parse_list(text: str) -> tuple:
+        values = tuple(parse(tok.strip()) for tok in text.split(",") if tok.strip())
+        if not values or count not in (None, len(values)):
+            raise ValueError(f"expected {count or 'one or more'} comma-separated values")
+        return values
+
+    return parse_list
+
+
+def _tests(text: str) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(_values(_test_name)(text)))
+
+
+_ALL = ("test", "simulate", "power-analytic")
+_RUNS = ("test", "simulate")
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One option: config-file key ``key``, flag ``--key`` (underscores as
+    dashes) unless ``help`` is None, parsed into the attributes named in
+    ``attr`` (space-separated; the key when empty)."""
+
+    key: str
+    parse: Callable[[str], Any]
+    default: str | None
+    commands: tuple[str, ...]
+    help: str | None
+    attr: str = ""
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+    @property
+    def attrs(self) -> list[str]:
+        return (self.attr or self.key).split()
+
+
+# Within one source, a later row wins over an earlier one with the same
+# attribute: alpha_tau / alpha_nu over alpha_split, perms over n_perms.
+_OPTIONS = (
+    _Option("input", str, None, ("test",), "input CSV (id,group,t1,...,tJ)"),
+    _Option("out_dir", str, "funcperm_out", _ALL, "output directory"),
+    _Option("alpha_split", _values(_level, 2), None, _ALL, None, attr="alpha_tau alpha_nu"),
+    _Option("alpha_tau", _level, "0.025", _ALL, "level of the CDF-distance component"),
+    _Option("alpha_nu", _level, "0.025", _ALL, "level of the mean-path component"),
+    _Option("n_perms", _at_least(19), None, _RUNS, None, attr="perms"),
+    _Option("perms", _at_least(19), "500", _RUNS, "number of permutation plans"),
+    _Option("L", _at_least(1), "4000", _RUNS, "number of evaluation-function draws"),
+    _Option("K", _odd, "19", _RUNS, "number of basis terms (odd)"),
+    _Option("seed", _at_least(0), "0", _RUNS, "master seed"),
+    _Option("mode", _one_of("randomized", "conservative"), "randomized", _RUNS,
+            "decision rule on critical-value ties: randomized or conservative"),
+    _Option("mu1", _mu1, "auto", _RUNS, "measure mean level, or 'auto'"),
+    _Option("coeff_law", _one_of(*COEFF_LAWS), "gaussian", _RUNS,
+            f"law of the measure's coefficients: {', '.join(COEFF_LAWS)}"),
+    _Option("designs", _values(_design), ",".join(map(str, DESIGN_IDS)), ("simulate",),
+            "comma-separated design ids (1..10)"),
+    _Option("tests", _tests, "tau,eta,sr", ("simulate",), "comma-separated subset of tau,eta,sr"),
+    _Option("reps", _at_least(1), "300", ("simulate",), "Monte Carlo replications"),
+    _Option("threads", _at_least(1), "1", ("simulate",), "parallel worker cap"),
+    _Option("sizes", _values(_at_least(1), 3), "20,20,20", ("simulate",),
+            "control and two treatment group sizes"),
+    _Option("T", _at_least(1), "96", ("simulate",), "grid points per path"),
+    _Option("shift_scale", float, "1", ("simulate",),
+            "multiplier on the standard shift magnitudes"),
+    _Option("eval_points", _values(float, 2), None, ("power-analytic",),
+            "evaluation point as 'x1,x2'"),
+)
+_BY_KEY = {opt.key: opt for opt in _OPTIONS}
+
+
+def _read_config(path: str, command: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise ValueError(f"cannot read config file {path}: {err}") from err
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _BY_KEY:
             raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+        if command not in _BY_KEY[key].commands:
+            raise ValueError(f"{path}:{line_no}: config key {key!r} does not apply to {command}")
         values[key] = value
     return values
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's option values: row default, then file, then flag."""
+    rows = [opt for opt in _OPTIONS if args.command in opt.commands]
+    cfg = dict.fromkeys(name for opt in rows for name in opt.attrs)
+    sources = (
+        ("default", {opt.key: opt.default for opt in rows}),
+        ("config key", _read_config(args.config, args.command) if args.config else {}),
+        ("flag", vars(args)),
+    )
+    for source, texts in sources:
+        for opt in rows:
+            if texts.get(opt.key) is None:
+                continue
+            try:
+                value = opt.parse(texts[opt.key])
+            except ValueError as err:
+                name = opt.flag if source == "flag" else f"{source} {opt.key!r}"
+                raise ValueError(f"{name}: {err}") from None
+            cfg.update(zip(opt.attrs, value if len(opt.attrs) > 1 else (value,)))
+    if not cfg["alpha_tau"] + cfg["alpha_nu"] < 1:
+        raise ValueError("alpha levels must sum to less than one")
+    return argparse.Namespace(**cfg)
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    file_values = _parse_config_file(args.config) if args.config else {}
-    if "threads" in file_values and args.command != "simulate":
-        raise ValueError(f"config key 'threads' does not apply to {args.command}")
-
-    def pick(flag, key, parse=lambda v: v):
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return parse(file_values[key])
-        return None
-
-    def setattr_if(name, value):
-        if value is not None:
-            setattr(cfg, name, value)
-
-    setattr_if("input", pick(getattr(args, "input", None), "input"))
-    setattr_if("out_dir", pick(args.out_dir, "out_dir"))
-    alpha_split = pick(None, "alpha_split", _floats)
-    if alpha_split is not None:
-        if len(alpha_split) != 2:
-            raise ValueError("alpha_split must hold two values")
-        cfg.alpha_tau, cfg.alpha_nu = alpha_split
-    setattr_if("alpha_tau", pick(args.alpha_tau, "alpha_tau", float))
-    setattr_if("alpha_nu", pick(args.alpha_nu, "alpha_nu", float))
-    setattr_if("n_perms", pick(args.perms, "perms", int) or pick(None, "n_perms", int))
-    setattr_if("n_draws", pick(args.L, "L", int))
-    setattr_if("n_terms", pick(args.K, "K", int))
-    setattr_if("seed", pick(args.seed, "seed", int))
-    setattr_if("mode", pick(args.mode, "mode"))
-    setattr_if("threads", pick(getattr(args, "threads", None), "threads", int))
-    setattr_if("mu1", pick(getattr(args, "mu1", None), "mu1"))
-    setattr_if("coeff_law", pick(getattr(args, "coeff_law", None), "coeff_law"))
-    designs = pick(getattr(args, "designs", None), "designs", _ints)
-    if designs is not None:
-        cfg.designs = tuple(designs) if not isinstance(designs, str) else _ints(designs)
-    tests = pick(getattr(args, "tests", None), "tests")
-    if tests is not None:
-        tokens = [tok.strip().lower() for tok in tests.split(",") if tok.strip()]
-        unknown = [tok for tok in tokens if tok not in _TEST_ALIASES]
-        if unknown:
-            raise ValueError(f"unknown tests {unknown}; choose from tau/eta/sr")
-        cfg.tests = tuple(dict.fromkeys(_TEST_ALIASES[tok] for tok in tokens))
-    setattr_if("reps", pick(getattr(args, "reps", None), "reps", int))
-    sizes = pick(getattr(args, "sizes", None), "sizes", _ints)
-    if sizes is not None:
-        cfg.sizes = tuple(sizes) if not isinstance(sizes, str) else _ints(sizes)
-    setattr_if("horizon", pick(getattr(args, "T", None), "T", int))
-    setattr_if("shift_scale", pick(getattr(args, "shift_scale", None), "shift_scale", float))
-    eval_points = pick(getattr(args, "eval_points", None), "eval_points")
-    if eval_points is not None:
-        points = _floats(eval_points) if isinstance(eval_points, str) else eval_points
-        if len(points) != 2:
-            raise ValueError("eval points must be two comma-separated numbers")
-        cfg.eval_points = (points[0], points[1])
-    cfg.validate()
-    return cfg
-
-
-def _provenance(cfg: RunConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "K": cfg.n_terms,
-        "L": cfg.n_draws,
-        "n_perms": cfg.n_perms,
-        "alpha_tau": cfg.alpha_tau,
-        "alpha_nu": cfg.alpha_nu,
-        "mode": cfg.mode,
-        "mu1": cfg.mu1,
-        "coeff_law": cfg.coeff_law,
-    }
-
-
-def _level_label(cfg: RunConfig) -> str:
-    return f"({cfg.alpha_tau:g}, {cfg.alpha_nu:g})"
-
-
-def cmd_test(cfg: RunConfig) -> int:
+def cmd_test(cfg: argparse.Namespace) -> int:
     if cfg.input is None:
         raise ValueError("the test command needs --input")
     try:
@@ -200,18 +224,18 @@ def cmd_test(cfg: RunConfig) -> int:
 
     mean_level = median_peak(sample) if cfg.mu1 == "auto" else float(cfg.mu1)
     spec = MeasureSpec(
-        n_terms=cfg.n_terms,
+        n_terms=cfg.K,
         mean_level=mean_level,
         law=cfg.coeff_law,
         seed=(cfg.seed, 1),
     )
-    draws = draw_functions(spec, sample.grid, cfg.n_draws)
-    plans = make_plans(sample.group_sizes, "sampled", cfg.n_perms, seed=(cfg.seed, 2))
+    draws = draw_functions(spec, sample.grid, cfg.L)
+    plans = make_plans(sample.group_sizes, "sampled", cfg.perms, seed=(cfg.seed, 2))
     result = run_combined_test(
         sample, draws, plans, cfg.alpha_tau, cfg.alpha_nu, cfg.mode, seed=(cfg.seed, 3)
     )
 
-    label = _level_label(cfg)
+    label = f"({cfg.alpha_tau:g}, {cfg.alpha_nu:g})"
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
@@ -221,7 +245,18 @@ def cmd_test(cfg: RunConfig) -> int:
         "n_units": sample.n_units,
         "horizon": sample.grid.horizon,
         "levels": label,
-        "provenance": {**_provenance(cfg), "mu1_value": mean_level},
+        "provenance": {
+            "seed": cfg.seed,
+            "K": cfg.K,
+            "L": cfg.L,
+            "n_perms": cfg.perms,
+            "alpha_tau": cfg.alpha_tau,
+            "alpha_nu": cfg.alpha_nu,
+            "mode": cfg.mode,
+            "mu1": cfg.mu1,
+            "coeff_law": cfg.coeff_law,
+            "mu1_value": mean_level,
+        },
         "results": {
             "cvm": _result_dict(result.cvm),
             "mean_path": _result_dict(result.mean_path),
@@ -247,7 +282,7 @@ def cmd_test(cfg: RunConfig) -> int:
     (out_dir / "report.csv").write_text("\n".join(csv_lines) + "\n")
 
     print(f"groups: {list(sample.group_sizes)}  grid points: {sample.grid.horizon}")
-    print(f"levels {label}  permutations {cfg.n_perms}  draws {cfg.n_draws}")
+    print(f"levels {label}  permutations {cfg.perms}  draws {cfg.L}")
     print(f"{'test':<12}{'observed':>12}{'critical':>12}{'p':>9}{'reject':>8}")
     for name, res in (("cvm", result.cvm), ("mean_path", result.mean_path)):
         print(
@@ -263,31 +298,21 @@ def cmd_test(cfg: RunConfig) -> int:
 
 
 def _result_dict(res) -> dict:
-    return {
-        "observed": res.observed,
-        "critical": res.critical,
-        "p_value": res.p_value,
-        "phi": res.phi,
-        "rejected": res.rejected,
-        "level": res.level,
-        "mode": res.mode,
-    }
+    fields = ("observed", "critical", "p_value", "phi", "rejected", "level", "mode")
+    return {field: getattr(res, field) for field in fields}
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    unknown = [d for d in cfg.designs if d not in DESIGN_IDS]
-    if unknown:
-        raise ValueError(f"unknown design id(s) {unknown}; expected 1..10")
+def cmd_simulate(cfg: argparse.Namespace) -> int:
     table = run_power_study(
         designs=cfg.designs,
         tests=cfg.tests,
         reps=cfg.reps,
-        n_perms=cfg.n_perms,
+        n_perms=cfg.perms,
         group_sizes=cfg.sizes,
-        horizon=cfg.horizon,
+        horizon=cfg.T,
         alpha_split=(cfg.alpha_tau, cfg.alpha_nu),
-        n_terms=cfg.n_terms,
-        n_draws=cfg.n_draws,
+        n_terms=cfg.K,
+        n_draws=cfg.L,
         coeff_law=cfg.coeff_law,
         mean_level="auto" if cfg.mu1 == "auto" else float(cfg.mu1),
         seed=cfg.seed,
@@ -304,48 +329,31 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_power_analytic(cfg: RunConfig) -> int:
+def cmd_power_analytic(cfg: argparse.Namespace) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     level = cfg.alpha_tau + cfg.alpha_nu
-
-    mean_points = cfg.eval_points or (0.4, 0.4)
-    var_points = cfg.eval_points or (-0.4, 0.4)
-    corr_points = cfg.eval_points or (-0.2, 0.2)
-
-    mean_curve = local_power.mean_shift_curve(
-        np.sqrt(np.linspace(0.0, 100.0, 41)), *mean_points, level=level
+    # file, curve, shift magnitudes, evaluation point unless --eval-points
+    curves = (
+        ("mean_shift_power.csv", local_power.mean_shift_curve,
+         np.sqrt(np.linspace(0.0, 100.0, 41)), (0.4, 0.4)),
+        ("variance_shift_power.csv", local_power.variance_shift_curve,
+         np.linspace(0.0, 3.0, 31), (-0.4, 0.4)),
+        ("correlation_shift_power.csv", local_power.correlation_shift_curve,
+         np.linspace(0.0, 3.0, 31), (-0.2, 0.2)),
     )
-    var_curve = local_power.variance_shift_curve(
-        np.linspace(0.0, 3.0, 31), *var_points, level=level
-    )
-    corr_curve = local_power.correlation_shift_curve(
-        np.linspace(0.0, 3.0, 31), *corr_points, level=level
-    )
-    files = {
-        "mean_shift_power.csv": mean_curve,
-        "variance_shift_power.csv": var_curve,
-        "correlation_shift_power.csv": corr_curve,
-    }
-    for name, curve in files.items():
+    for name, build, shifts, points in curves:
+        curve = build(shifts, *(cfg.eval_points or points), level=level)
         (out_dir / name).write_text(curve.to_csv_text())
-    print(f"curves written to {out_dir}: {', '.join(files)}")
+    print(f"curves written to {out_dir}: {', '.join(name for name, *_ in curves)}")
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--alpha-tau", dest="alpha_tau", type=float,
-                        help="level of the CDF-distance component")
-    parser.add_argument("--alpha-nu", dest="alpha_nu", type=float,
-                        help="level of the mean-path component")
-    parser.add_argument("--perms", type=int, help="number of permutation plans")
-    parser.add_argument("--L", type=int, help="number of evaluation-function draws")
-    parser.add_argument("--K", type=int, help="number of basis terms (odd)")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--mode", choices=("randomized", "conservative"),
-                        help="decision rule on critical-value ties")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
+_COMMANDS = {
+    "test": ("test a CSV of observed paths", cmd_test),
+    "simulate": ("Monte Carlo power study", cmd_simulate),
+    "power-analytic": ("closed-form power curves", cmd_power_analytic),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -355,43 +363,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "of functional data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_test = sub.add_parser("test", help="test a CSV of observed paths")
-    _add_common(p_test)
-    p_test.add_argument("--input", help="input CSV (id,group,t1,...,tJ)")
-    p_test.add_argument("--mu1", help="measure mean level, or 'auto'")
-    p_test.add_argument("--coeff-law", dest="coeff_law", choices=COEFF_LAWS)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo power study")
-    _add_common(p_sim)
-    p_sim.add_argument("--designs", help="comma-separated design ids (1..10)")
-    p_sim.add_argument("--tests", help="comma-separated subset of tau,eta,sr")
-    p_sim.add_argument("--reps", type=int, help="Monte Carlo replications")
-    p_sim.add_argument("--threads", type=int, help="parallel worker cap")
-    p_sim.add_argument("--sizes", help="comma-separated group sizes")
-    p_sim.add_argument("--T", type=int, help="grid points per path")
-    p_sim.add_argument("--shift-scale", dest="shift_scale", type=float,
-                       help="multiplier on the standard shift magnitudes")
-    p_sim.add_argument("--mu1", help="measure mean level, or 'auto'")
-    p_sim.add_argument("--coeff-law", dest="coeff_law", choices=COEFF_LAWS)
-
-    p_pow = sub.add_parser("power-analytic", help="closed-form power curves")
-    _add_common(p_pow)
-    p_pow.add_argument("--eval-points", dest="eval_points",
-                       help="evaluation point as 'x1,x2'")
+    for command, (help_text, _) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=help_text)
+        p_cmd.add_argument("--config", help="flat key = value config file")
+        for opt in _OPTIONS:
+            if command in opt.commands and opt.help is not None:
+                p_cmd.add_argument(opt.flag, dest=opt.key, help=opt.help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _build_config(args)
-        if args.command == "test":
-            return cmd_test(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        return cmd_power_analytic(cfg)
+        return _COMMANDS[args.command][1](_resolve(args))
     except (ValueError, SampleFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

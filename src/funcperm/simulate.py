@@ -267,13 +267,16 @@ def run_replication(config: StudyConfig, rep: int) -> dict[str, bool]:
     pooled = np.vstack(groups)
     sizes = design.group_sizes
 
-    wanted = []
-    if "cvm" in config.tests or "combined" in config.tests:
-        wanted.append("cvm")
-    if "combined" in config.tests:
-        wanted.append("mean_path")
-    if "energy" in config.tests:
-        wanted.append("energy")
+    # each requested test's (statistic, level) decisions, made in this
+    # order whatever the order of config.tests
+    alpha_total = config.alpha_cvm + config.alpha_mean
+    decisions = {
+        "cvm": (("cvm", alpha_total),),
+        "combined": (("cvm", config.alpha_cvm), ("mean_path", config.alpha_mean)),
+        "energy": (("energy", alpha_total),),
+    }
+    decisions = {test: pairs for test, pairs in decisions.items() if test in config.tests}
+    wanted = tuple(dict.fromkeys(stat for pairs in decisions.values() for stat, _ in pairs))
 
     draws = None
     if "cvm" in wanted:
@@ -299,33 +302,16 @@ def run_replication(config: StudyConfig, rep: int) -> dict[str, bool]:
     dists = permutation_distributions(pooled, sizes, plans, wanted, draws)
 
     decision_rng = substream(config.seed, design.design_id, rep, 3)
-    alpha_total = config.alpha_cvm + config.alpha_mean
     out: dict[str, bool] = {}
-    if "cvm" in config.tests:
-        out["cvm"] = decide(
-            dists["cvm"].observed, dists["cvm"], alpha_total, config.mode, decision_rng
-        ).rejected
-    if "combined" in config.tests:
-        first = decide(
-            dists["cvm"].observed, dists["cvm"], config.alpha_cvm, config.mode, decision_rng
-        )
-        second = decide(
-            dists["mean_path"].observed,
-            dists["mean_path"],
-            config.alpha_mean,
-            config.mode,
-            decision_rng,
-        )
-        out["combined"] = first.rejected or second.rejected
-    if "energy" in config.tests:
-        out["energy"] = decide(
-            dists["energy"].observed, dists["energy"], alpha_total, config.mode, decision_rng
-        ).rejected
+    for test, pairs in decisions.items():
+        # every decision draws from decision_rng, so all are made before any
+        # one is read
+        rejected = [
+            decide(dists[stat].observed, dists[stat], alpha, config.mode, decision_rng).rejected
+            for stat, alpha in pairs
+        ]
+        out[test] = any(rejected)
     return out
-
-
-def _replication_task(payload: tuple[StudyConfig, int]) -> dict[str, bool]:
-    return run_replication(*payload)
 
 
 def run_power_study(
@@ -373,12 +359,13 @@ def run_power_study(
             seed=seed,
         )
 
-    tasks = [(configs[d], rep) for d in design_ids for rep in range(reps)]
+    task_configs = [configs[d] for d in design_ids for _ in range(reps)]
+    task_reps = [rep for _ in design_ids for rep in range(reps)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_replication_task, tasks, chunksize=8))
+            results = list(pool.map(run_replication, task_configs, task_reps, chunksize=8))
     else:
-        results = [_replication_task(t) for t in tasks]
+        results = list(map(run_replication, task_configs, task_reps))
 
     rows = []
     for i, design_id in enumerate(design_ids):

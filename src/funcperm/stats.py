@@ -45,7 +45,6 @@ partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,20 +59,6 @@ _MAX_EXACT_COUNT = 1 << 24
 # prefix-bitmask tables and their sort and index arrays.  Small blocks stay
 # in cache.
 _INDICATOR_BLOCK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class StatisticValue:
-    """A computed statistic with the context needed to interpret it."""
-
-    kind: str  # "cvm" | "mean_path" | "energy"
-    value: float
-    group_sizes: tuple[int, ...]
-    n_draws: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.value >= 0.0:
-            raise ValueError(f"statistic must be nonnegative, got {self.value}")
 
 
 def _as_matrix(paths) -> np.ndarray:
@@ -185,17 +170,23 @@ def indicator_matrix(paths, zvalues) -> np.ndarray:
 
 def _identity_plan_statistic(
     kind: str, groups: Sequence[np.ndarray], draws: MeasureDraws | None = None
-) -> StatisticValue:
-    """Plan 0 of :func:`permutation_statistics` on the pooled groups."""
+) -> float:
+    """Plan 0 of :func:`permutation_statistics` on the pooled groups.
+
+    Raises ValueError unless the value is nonnegative; this catches a NaN
+    result, such as mean_path and energy give for a NaN path.
+    """
     mats = _check_groups(groups)
     sizes = tuple(m.shape[0] for m in mats)
     identity = np.repeat(np.arange(len(sizes)), sizes)[None]
     stats = permutation_statistics(np.vstack(mats), sizes, identity, (kind,), draws)
-    n_draws = None if draws is None else draws.n_draws
-    return StatisticValue(kind, float(stats[kind][0]), sizes, n_draws=n_draws)
+    value = float(stats[kind][0])
+    if not value >= 0.0:
+        raise ValueError(f"statistic must be nonnegative, got {value}")
+    return value
 
 
-def cvm_statistic_multi(groups: Sequence[np.ndarray], draws: MeasureDraws) -> StatisticValue:
+def cvm_statistic_multi(groups: Sequence[np.ndarray], draws: MeasureDraws) -> float:
     """Summed CDF-distance terms, control (group 0) versus each treatment.
 
     Each term is (n_0 + n_s) times the average over draws of the squared
@@ -205,12 +196,12 @@ def cvm_statistic_multi(groups: Sequence[np.ndarray], draws: MeasureDraws) -> St
     return _identity_plan_statistic("cvm", groups, draws)
 
 
-def cvm_statistic(group_a, group_b, draws: MeasureDraws) -> StatisticValue:
+def cvm_statistic(group_a, group_b, draws: MeasureDraws) -> float:
     """Two-sample CDF-distance statistic."""
     return cvm_statistic_multi([group_a, group_b], draws)
 
 
-def mean_path_statistic_multi(groups: Sequence[np.ndarray]) -> StatisticValue:
+def mean_path_statistic_multi(groups: Sequence[np.ndarray]) -> float:
     """Summed mean-path distance terms, control versus each treatment.
 
     Each term is (n_0 + n_s) times the average over grid points of the
@@ -220,7 +211,7 @@ def mean_path_statistic_multi(groups: Sequence[np.ndarray]) -> StatisticValue:
     return _identity_plan_statistic("mean_path", groups)
 
 
-def mean_path_statistic(group_a, group_b) -> StatisticValue:
+def mean_path_statistic(group_a, group_b) -> float:
     """Two-sample mean-path statistic."""
     return mean_path_statistic_multi([group_a, group_b])
 
@@ -244,7 +235,7 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     return dist
 
 
-def energy_statistic(groups: Sequence[np.ndarray]) -> StatisticValue:
+def energy_statistic(groups: Sequence[np.ndarray]) -> float:
     """Multi-sample energy distance, control versus each treatment.
 
     For each treatment s the term is n_0 n_s / (n_0 + n_s) times
@@ -274,8 +265,9 @@ def _group_mean_contrast(masks, sizes, features: np.ndarray, width: int) -> np.n
     Group sums are taken in the dtype of ``features``, casting each mask
     that is not already of that dtype, and divided by the group size in
     float64.  ``features`` may leave out columns that are equal for every
-    group; ``width`` counts them too and divides the average.  Group means are formed one treatment at a time, so at most
-    three (Q, columns) blocks are live, whatever the number of groups.
+    group; ``width`` counts them too and divides the average.  Group means
+    are formed one treatment at a time, so at most three (Q, columns)
+    blocks are live, whatever the number of groups.
     """
 
     def group_mean(s: int) -> np.ndarray:

@@ -205,6 +205,12 @@ def test_config_file_unknown_key_fails(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_file_unreadable_fails(tmp_path, capsys):
+    code = run(["power-analytic", "--config", tmp_path / "absent.cfg", "--out-dir", tmp_path / "o"])
+    assert code == 2
+    assert "absent.cfg" in capsys.readouterr().err
+
+
 def test_power_analytic_outputs(tmp_path, capsys):
     out = tmp_path / "curves"
     code = run(["power-analytic", "--out-dir", out])
@@ -233,21 +239,104 @@ def test_power_analytic_eval_points_echoed(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["test", "power-analytic"])
-def test_threads_flag_only_on_simulate(tmp_path, capsys, command):
+def options_case(command, option, case_id=None):
+    return pytest.param(command, option, id=case_id or f"{command}-{option.split()[0].lstrip('-')}")
+
+
+# (command, option) pairs the command does not take; the threads cases
+# keep the ids they had when these tests covered only threads
+@pytest.mark.parametrize("command, flag", [
+    options_case("test", "--threads 2", "test"),
+    options_case("power-analytic", "--threads 2", "power-analytic"),
+    options_case("power-analytic", "--seed 5"),
+    options_case("power-analytic", "--perms 100"),
+    options_case("power-analytic", "--mode conservative"),
+    options_case("power-analytic", "--L 3"),
+    options_case("power-analytic", "--K 5"),
+    options_case("test", "--designs 1,2"),
+    options_case("test", "--eval-points 1,2"),
+    options_case("simulate", "--input x.csv"),
+])
+def test_threads_flag_only_on_simulate(tmp_path, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
-        run([command, "--threads", "2", "--out-dir", tmp_path / "o"])
+        run([command, *flag.split(), "--out-dir", tmp_path / "o"])
     assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert flag.split()[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["test", "power-analytic"])
-def test_threads_config_key_only_on_simulate(tmp_path, capsys, command):
-    cfg = tmp_path / "threads.cfg"
-    cfg.write_text("threads = 2\n")
+@pytest.mark.parametrize("command, line", [
+    options_case("test", "threads = 2", "test"),
+    options_case("power-analytic", "threads = 2", "power-analytic"),
+    options_case("test", "designs = 1,2"),
+    options_case("test", "reps = 3"),
+    options_case("test", "eval_points = 1,2"),
+    options_case("simulate", "input = x.csv"),
+    options_case("simulate", "eval_points = 1,2"),
+    options_case("power-analytic", "seed = 5"),
+    options_case("power-analytic", "n_perms = 100"),
+    options_case("power-analytic", "mu1 = 1.5"),
+])
+def test_threads_config_key_only_on_simulate(tmp_path, capsys, command, line):
+    cfg = tmp_path / "options.cfg"
+    cfg.write_text(line + "\n")
     code = run([command, "--config", cfg, "--out-dir", tmp_path / "o"])
     assert code == 2
-    assert "'threads'" in capsys.readouterr().err
+    assert repr(line.split()[0]) in capsys.readouterr().err
+
+
+def test_zero_perms_rejected(tmp_path, capsys):
+    csv_path = two_group_csv(tmp_path)
+    code = run(["test", "--input", csv_path, "--perms", "0", "--out-dir", tmp_path / "o"])
+    assert code == 2
+    assert "--perms" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("option, text", [("designs", ""), ("tests", ",")], ids=["designs", "tests"])
+def test_simulate_empty_list_rejected(tmp_path, capsys, option, text):
+    code = run(["simulate", f"--{option}", text, "--reps", "2", "--out-dir", tmp_path / "o"])
+    assert code == 2
+    assert f"--{option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, flags, name", [
+    ("reps = x", [], "'reps'"),
+    ("", ["--T", "x"], "--T"),
+], ids=["file", "flag"])
+def test_bad_value_names_its_key(tmp_path, capsys, line, flags, name):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code = run(["simulate", "--config", cfg, *flags, "--out-dir", tmp_path / "o"])
+    assert code == 2
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_alpha_tau_wins_over_alpha_split(tmp_path, capsys, source):
+    csv_path = two_group_csv(tmp_path)
+    cfg = tmp_path / "levels.cfg"
+    # in the file, alpha_tau comes first, so a last-line-wins reading fails
+    cfg.write_text(("alpha_tau = 0.01\n" if source == "file" else "") + "alpha_split = 0.03, 0.02\n")
+    flags = ["--alpha-tau", "0.01"] if source == "flag" else []
+    out = tmp_path / "o"
+    code = run(["test", "--input", csv_path, "--config", cfg, *flags,
+                "--perms", "19", "--L", "8", "--K", "3", "--out-dir", out])
+    assert code == 0
+    prov = json.loads((out / "report.json").read_text())["provenance"]
+    assert (prov["alpha_tau"], prov["alpha_nu"]) == (0.01, 0.02)
+    capsys.readouterr()
+
+
+def test_file_perms_wins_over_n_perms(tmp_path, capsys):
+    csv_path = two_group_csv(tmp_path)
+    cfg = tmp_path / "perms.cfg"
+    cfg.write_text("perms = 40\nn_perms = 50\n")
+    out = tmp_path / "o"
+    code = run(["test", "--input", csv_path, "--config", cfg, "--L", "8", "--K", "3",
+                "--out-dir", out])
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["provenance"]["n_perms"] == 40
+    capsys.readouterr()
 
 
 def test_simulate_accepts_threads_flag_and_config_key(tmp_path, capsys):

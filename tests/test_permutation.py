@@ -386,12 +386,12 @@ def test_engine_identity_plan_matches_standalone():
     dists = permutation_distributions(
         pooled, sizes, plans, ("cvm", "mean_path", "energy"), draws
     )
-    assert dists["cvm"].observed == cvm_statistic_multi(groups, draws).value
+    assert dists["cvm"].observed == cvm_statistic_multi(groups, draws)
     assert dists["mean_path"].observed == pytest.approx(
-        mean_path_statistic_multi(groups).value, rel=1e-12
+        mean_path_statistic_multi(groups), rel=1e-12
     )
     assert dists["energy"].observed == pytest.approx(
-        energy_statistic(groups).value, rel=1e-12
+        energy_statistic(groups), rel=1e-12
     )
 
 

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from funcperm import simulate
 from funcperm import (
     CORR_SHIFT,
     MEAN_SHIFT,
     SD_SHIFT,
     GroupParams,
+    StudyConfig,
     apply_design,
     run_power_study,
     simulate_paths,
@@ -189,6 +193,43 @@ def test_power_study_threads_do_not_change_results():
     serial = run_power_study(threads=1, **kwargs)
     parallel = run_power_study(threads=2, **kwargs)
     assert serial.to_csv_text() == parallel.to_csv_text()
+
+
+def test_replication_makes_every_decision_in_fixed_order(monkeypatch):
+    # every decision draws from one generator, so their order and number
+    # fix every later randomized tie-break
+    real_distributions, real_decide = simulate.permutation_distributions, simulate.decide
+    names, calls = {}, []
+
+    def recording_distributions(*args):
+        dists = real_distributions(*args)
+        names.update({id(dist): name for name, dist in dists.items()})
+        return dists
+
+    def rejecting_decide(observed, dist, alpha, mode, rng):
+        calls.append((names[id(dist)], alpha))
+        # a rejection must not skip the test's remaining decisions
+        return dataclasses.replace(real_decide(observed, dist, alpha, mode, rng), rejected=True)
+
+    monkeypatch.setattr(simulate, "permutation_distributions", recording_distributions)
+    monkeypatch.setattr(simulate, "decide", rejecting_decide)
+    config = StudyConfig(
+        design=apply_design(1, synthetic_baseline(12), (4, 4, 4)),
+        tests=("energy", "combined", "cvm"),
+        n_perms=19,
+        alpha_cvm=0.03,
+        alpha_mean=0.02,
+        n_terms=3,
+        n_draws=16,
+        coeff_law="gaussian",
+        mean_level="auto",
+        mode="randomized",
+        seed=5,
+    )
+    out = simulate.run_replication(config, 0)
+    total = 0.03 + 0.02
+    assert calls == [("cvm", total), ("cvm", 0.03), ("mean_path", 0.02), ("energy", total)]
+    assert out == {"cvm": True, "combined": True, "energy": True}
 
 
 def test_power_table_formats():

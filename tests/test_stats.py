@@ -6,7 +6,6 @@ import pytest
 from funcperm import stats
 from funcperm import (
     MeasureDraws,
-    StatisticValue,
     cvm_statistic,
     cvm_statistic_multi,
     ecdf_indicator,
@@ -218,18 +217,14 @@ def test_cvm_identical_groups_is_zero():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(5, 3))
     d = draws_of(rng.normal(size=(20, 3)))
-    assert cvm_statistic(a, a.copy(), d).value == 0.0
+    assert cvm_statistic(a, a.copy(), d) == 0.0
 
 
 def test_cvm_hand_computation():
     # one path per group at 0 and 1, a single draw at 0.5:
     # CDFs are 1 and 0, so the statistic is (1+1) * (1-0)^2 = 2
     a, b = [[0.0]], [[1.0]]
-    res = cvm_statistic(a, b, draws_of([[0.5]]))
-    assert res.value == 2.0
-    assert res.kind == "cvm"
-    assert res.group_sizes == (1, 1)
-    assert res.n_draws == 1
+    assert cvm_statistic(a, b, draws_of([[0.5]])) == 2.0
 
 
 def test_cvm_matches_point_mass_closed_form():
@@ -243,7 +238,7 @@ def test_cvm_matches_point_mass_closed_form():
         w * (ecdf_indicator(a, z) - ecdf_indicator(b, z)) ** 2
         for z, w in zip(atoms, weights)
     )
-    est = cvm_statistic(a, b, draws_of(atoms)).value
+    est = cvm_statistic(a, b, draws_of(atoms))
     assert est == pytest.approx(closed, rel=1e-12)
 
 
@@ -252,7 +247,7 @@ def test_cvm_symmetric_in_groups():
     a = rng.normal(size=(4, 3))
     b = rng.normal(size=(6, 3))
     d = draws_of(rng.normal(size=(15, 3)))
-    assert cvm_statistic(a, b, d).value == cvm_statistic(b, a, d).value
+    assert cvm_statistic(a, b, d) == cvm_statistic(b, a, d)
 
 
 def test_cvm_row_order_invariant():
@@ -261,7 +256,7 @@ def test_cvm_row_order_invariant():
     b = rng.normal(size=(5, 2))
     d = draws_of(rng.normal(size=(10, 2)))
     shuffled = a[rng.permutation(5)]
-    assert cvm_statistic(a, b, d).value == cvm_statistic(shuffled, b, d).value
+    assert cvm_statistic(a, b, d) == cvm_statistic(shuffled, b, d)
 
 
 def test_cvm_deterministic_recomputation():
@@ -269,7 +264,7 @@ def test_cvm_deterministic_recomputation():
     a = rng.normal(size=(6, 4))
     b = rng.normal(size=(7, 4))
     d = draws_of(rng.normal(size=(33, 4)))
-    assert cvm_statistic(a, b, d).value == cvm_statistic(a, b, d).value
+    assert cvm_statistic(a, b, d) == cvm_statistic(a, b, d)
 
 
 def test_cvm_multi_reduces_to_two_sample():
@@ -277,14 +272,14 @@ def test_cvm_multi_reduces_to_two_sample():
     g0 = rng.normal(size=(4, 3))
     g1 = rng.normal(size=(5, 3))
     d = draws_of(rng.normal(size=(12, 3)))
-    assert cvm_statistic_multi([g0, g1], d).value == cvm_statistic(g0, g1, d).value
+    assert cvm_statistic_multi([g0, g1], d) == cvm_statistic(g0, g1, d)
 
 
 def test_cvm_multi_identical_groups_zero():
     rng = np.random.default_rng(12)
     g = rng.normal(size=(4, 2))
     d = draws_of(rng.normal(size=(9, 2)))
-    assert cvm_statistic_multi([g, g.copy(), g.copy()], d).value == 0.0
+    assert cvm_statistic_multi([g, g.copy(), g.copy()], d) == 0.0
 
 
 def test_cvm_multi_duplicate_control_drops_term():
@@ -292,8 +287,8 @@ def test_cvm_multi_duplicate_control_drops_term():
     g0 = rng.normal(size=(4, 2))
     g1 = rng.normal(size=(4, 2))
     d = draws_of(rng.normal(size=(9, 2)))
-    full = cvm_statistic_multi([g0, g1, g0.copy()], d).value
-    only_first = cvm_statistic(g0, g1, d).value
+    full = cvm_statistic_multi([g0, g1, g0.copy()], d)
+    only_first = cvm_statistic(g0, g1, d)
     assert full == only_first  # the control-vs-control term vanishes
 
 
@@ -309,12 +304,12 @@ def test_cvm_needs_two_groups():
 def test_mean_path_equal_means_zero():
     a = np.array([[0.0, 2.0], [2.0, 0.0]])
     b = np.array([[1.0, 1.0]])
-    assert mean_path_statistic(a, b).value == 0.0
+    assert mean_path_statistic(a, b) == 0.0
 
 
 def test_mean_path_hand_computation():
     # (1+1) * (1/2) * ((1-0)^2 + (1-0)^2) = 2
-    assert mean_path_statistic([[1.0, 1.0]], [[0.0, 0.0]]).value == 2.0
+    assert mean_path_statistic([[1.0, 1.0]], [[0.0, 0.0]]) == 2.0
 
 
 def test_mean_path_translation_invariant():
@@ -322,8 +317,8 @@ def test_mean_path_translation_invariant():
     a = rng.normal(size=(5, 4))
     b = rng.normal(size=(6, 4))
     shift = rng.normal(size=4)
-    base = mean_path_statistic(a, b).value
-    moved = mean_path_statistic(a + shift, b + shift).value
+    base = mean_path_statistic(a, b)
+    moved = mean_path_statistic(a + shift, b + shift)
     assert moved == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
@@ -331,15 +326,12 @@ def test_mean_path_multi_reduces_and_closed_form():
     rng = np.random.default_rng(15)
     g0 = rng.normal(size=(4, 3))
     g1 = rng.normal(size=(5, 3))
-    assert (
-        mean_path_statistic_multi([g0, g1]).value
-        == mean_path_statistic(g0, g1).value
-    )
+    assert mean_path_statistic_multi([g0, g1]) == mean_path_statistic(g0, g1)
     # constant control, constant shift; second treatment equals control:
     # statistic is (n0 + n1) * delta^2 exactly
     c0 = np.full((4, 3), 1.5)
     c1 = c0 + 0.25
-    got = mean_path_statistic_multi([c0, c1, c0.copy()]).value
+    got = mean_path_statistic_multi([c0, c1, c0.copy()])
     assert got == (4 + 4) * 0.25**2
 
 
@@ -348,8 +340,8 @@ def test_mean_path_row_order_invariant():
     a = rng.normal(size=(6, 3))
     b = rng.normal(size=(4, 3))
     shuffled = a[rng.permutation(6)]
-    assert mean_path_statistic(shuffled, b).value == pytest.approx(
-        mean_path_statistic(a, b).value, rel=1e-12
+    assert mean_path_statistic(shuffled, b) == pytest.approx(
+        mean_path_statistic(a, b), rel=1e-12
     )
 
 
@@ -358,20 +350,20 @@ def test_mean_path_row_order_invariant():
 # ---------------------------------------------------------------------------
 
 def test_energy_identical_single_paths_zero():
-    assert energy_statistic([[[1.0, 2.0]], [[1.0, 2.0]]]).value == 0.0
+    assert energy_statistic([[[1.0, 2.0]], [[1.0, 2.0]]]) == 0.0
 
 
 def test_energy_hand_computation():
     # singleton groups at 0 and 1: (1*1/2) * (2*1 - 0 - 0) = 1
-    assert energy_statistic([[[0.0]], [[1.0]]]).value == 1.0
+    assert energy_statistic([[[0.0]], [[1.0]]]) == 1.0
 
 
 def test_energy_translation_invariant():
     rng = np.random.default_rng(17)
     groups = [rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=(6, 3))]
     shift = rng.normal(size=3)
-    base = energy_statistic(groups).value
-    moved = energy_statistic([g + shift for g in groups]).value
+    base = energy_statistic(groups)
+    moved = energy_statistic([g + shift for g in groups])
     assert moved == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
@@ -380,8 +372,8 @@ def test_energy_translation_invariant_at_large_offset():
     # uncentred rows cancels away the distances unless the rows are shifted
     rng = np.random.default_rng(0)
     groups = [rng.normal(scale=1e-3, size=(10, 48)) for _ in range(2)]
-    base = energy_statistic(groups).value
-    moved = energy_statistic([g + 1e6 for g in groups]).value
+    base = energy_statistic(groups)
+    moved = energy_statistic([g + 1e6 for g in groups])
     assert moved == pytest.approx(base, rel=1e-6)
 
 
@@ -389,7 +381,7 @@ def test_energy_nonnegative_on_random_inputs():
     rng = np.random.default_rng(18)
     for _ in range(10):
         groups = [rng.normal(size=(int(rng.integers(1, 8)), 3)) for _ in range(3)]
-        assert energy_statistic(groups).value >= 0.0
+        assert energy_statistic(groups) >= 0.0
 
 
 def test_energy_needs_two_groups():
@@ -402,6 +394,10 @@ def test_pairwise_distances_hand_case():
     assert d.tolist() == [[0.0, 5.0], [5.0, 0.0]]
 
 
-def test_statistic_value_rejects_negative():
-    with pytest.raises(ValueError):
-        StatisticValue("cvm", -1e-9, (1, 1))
+@pytest.mark.parametrize(
+    "statistic", [mean_path_statistic_multi, energy_statistic], ids=["mean_path", "energy"]
+)
+def test_statistic_rejects_nan_result(statistic):
+    groups = [np.array([[0.0, np.nan]]), np.array([[1.0, 2.0]])]
+    with pytest.raises(ValueError, match="statistic must be nonnegative, got nan"):
+        statistic(groups)
