@@ -9,11 +9,12 @@ Three subcommands:
 Every option is one row of :data:`_OPTIONS`, which names its config-file
 key, parser, default, the commands that take it and its flag help.  Each
 command's flags and the config-file keys it accepts come from its rows;
-any other flag or key exits with status 2.  A value comes from the row's
-default, then an optional flat ``key = value`` config file (``--config``),
-then the flag (later wins), and all three go through the row's parser, so
-a bad value is reported with its key or flag.  Exit status is 0 iff the
-report was produced; the statistical decision never affects it.
+any other flag or key, and a key given twice in one file, exits with
+status 2.  A value comes from the row's default, then an optional flat
+``key = value`` config file (``--config``), then the flag (later wins), and
+all three go through the row's parser, so a bad value is reported with its
+key or flag.  Exit status is 0 iff the report was produced; the statistical
+decision never affects it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -54,6 +55,13 @@ def _odd(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _level(text: str) -> float:
     value = float(text)
     if not value > 0:
@@ -73,7 +81,7 @@ def _one_of(*choices: str) -> Callable[[str], str]:
 def _mu1(text: str) -> str:
     """'auto' or a number, kept as written for the report's provenance."""
     if text != "auto":
-        float(text)
+        _finite(text)
     return text
 
 
@@ -159,9 +167,9 @@ _OPTIONS = (
     _Option("sizes", _values(_at_least(1), 3), "20,20,20", ("simulate",),
             "control and two treatment group sizes"),
     _Option("T", _at_least(1), "96", ("simulate",), "grid points per path"),
-    _Option("shift_scale", float, "1", ("simulate",),
+    _Option("shift_scale", _finite, "1", ("simulate",),
             "multiplier on the standard shift magnitudes"),
-    _Option("eval_points", _values(float, 2), None, ("power-analytic",),
+    _Option("eval_points", _values(_finite, 2), None, ("power-analytic",),
             "evaluation point as 'x1,x2'"),
 )
 _BY_KEY = {opt.key: opt for opt in _OPTIONS}
@@ -173,6 +181,7 @@ def _read_config(path: str, command: str) -> dict[str, str]:
     except OSError as err:
         raise ValueError(f"cannot read config file {path}: {err}") from err
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -184,6 +193,11 @@ def _read_config(path: str, command: str) -> dict[str, str]:
             raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
         if command not in _BY_KEY[key].commands:
             raise ValueError(f"{path}:{line_no}: config key {key!r} does not apply to {command}")
+        if key in first_line:
+            raise ValueError(
+                f"{path}:{line_no}: duplicate config key {key!r} (first at line {first_line[key]})"
+            )
+        first_line[key] = line_no
         values[key] = value
     return values
 
@@ -212,6 +226,15 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(**cfg)
 
 
+def _out_dir(path: str) -> Path:
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ValueError(f"cannot create output directory {path}: {err}") from err
+    return out_dir
+
+
 def cmd_test(cfg: argparse.Namespace) -> int:
     if cfg.input is None:
         raise ValueError("the test command needs --input")
@@ -236,8 +259,7 @@ def cmd_test(cfg: argparse.Namespace) -> int:
     )
 
     label = f"({cfg.alpha_tau:g}, {cfg.alpha_nu:g})"
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg.out_dir)
     report = {
         "command": "test",
         "input": str(cfg.input),
@@ -320,18 +342,16 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         mode=cfg.mode,
         threads=cfg.threads,
     )
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg.out_dir)
     (out_dir / "power_table.csv").write_text(table.to_csv_text())
-    (out_dir / "power_config.json").write_text(json.dumps(table.config, indent=2) + "\n")
+    (out_dir / "power_config.json").write_text(json.dumps(asdict(table.config), indent=2) + "\n")
     print(table.format_table())
     print(f"table written to {out_dir}")
     return 0
 
 
 def cmd_power_analytic(cfg: argparse.Namespace) -> int:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg.out_dir)
     level = cfg.alpha_tau + cfg.alpha_nu
     # file, curve, shift magnitudes, evaluation point unless --eval-points
     curves = (

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -93,7 +94,6 @@ class DesignSpec:
     design_id: int
     groups: tuple[GroupParams, ...]
     group_sizes: tuple[int, ...]
-    shift_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.groups) != len(self.group_sizes):
@@ -159,7 +159,7 @@ def apply_design(
                 d_rho=mult[2] * CORR_SHIFT * shift_scale,
             )
         )
-    return DesignSpec(design_id, tuple(groups), sizes, shift_scale)
+    return DesignSpec(design_id, tuple(groups), sizes)
 
 
 def simulate_paths(params: GroupParams, n_paths: int, rng: np.random.Generator) -> np.ndarray:
@@ -182,75 +182,87 @@ def simulate_paths(params: GroupParams, n_paths: int, rng: np.random.Generator) 
 
 
 @dataclass(frozen=True)
-class PowerRow:
-    """Empirical rejection probability of one test under one design."""
-
-    test: str
-    levels: tuple[float, float]  # (cvm level, mean-path level) of the run
-    design_id: int
-    rate: float
-    std_error: float
-    reps: int
-
-
-@dataclass(frozen=True)
-class PowerTable:
-    """Power-study output: one row per (test, design), plus the config echo."""
-
-    rows: tuple[PowerRow, ...]
-    config: dict
-
-    def to_csv_text(self) -> str:
-        lines = ["test,alpha_cvm,alpha_mean,design,rate,std_error,reps"]
-        for r in self.rows:
-            lines.append(
-                f"{r.test},{r.levels[0]:.10g},{r.levels[1]:.10g},"
-                f"{r.design_id},{r.rate:.10g},{r.std_error:.10g},{r.reps}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def format_table(self) -> str:
-        header = f"{'test':<10}{'levels':<18}{'design':>7}{'rate':>9}{'se':>9}{'reps':>7}"
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            levels = f"({r.levels[0]:g}, {r.levels[1]:g})"
-            lines.append(
-                f"{r.test:<10}{levels:<18}{r.design_id:>7}"
-                f"{r.rate:>9.3f}{r.std_error:>9.3f}{r.reps:>7}"
-            )
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
 class StudyConfig:
-    """Everything one replication needs; picklable for process pools."""
+    """One power study's settings, checked once.
 
-    design: DesignSpec
+    ``power_config.json`` is ``dataclasses.asdict`` of it, in field order.
+    """
+
+    designs: tuple[int, ...]
     tests: tuple[str, ...]
+    reps: int
     n_perms: int
-    alpha_cvm: float
-    alpha_mean: float
+    alpha_split: tuple[float, float]  # (cvm level, mean-path level)
     n_terms: int
     n_draws: int
     coeff_law: str
     mean_level: "float | str"
-    mode: str
+    group_sizes: tuple[int, ...]
+    horizon: int
     seed: Seed
+    shift_scale: float
+    mode: str
 
     def __post_init__(self) -> None:
+        if self.reps < 1:
+            raise ValueError("need at least one replication")
+        repeated = [d for i, d in enumerate(self.designs) if d in self.designs[:i]]
+        if repeated:
+            raise ValueError(f"design id {repeated[0]} is listed more than once")
         unknown = set(self.tests) - set(TEST_NAMES)
         if unknown:
             raise ValueError(f"unknown tests {sorted(unknown)}")
         if self.n_perms < 2:
             raise ValueError("need at least two permutation plans")
-        if not (self.alpha_cvm > 0 and self.alpha_mean > 0):
+        alpha_cvm, alpha_mean = self.alpha_split
+        if not (alpha_cvm > 0 and alpha_mean > 0):
             raise ValueError("levels must be positive")
-        if not self.alpha_cvm + self.alpha_mean < 1:
+        if not alpha_cvm + alpha_mean < 1:
             raise ValueError("levels must sum to less than one")
 
 
-def run_replication(config: StudyConfig, rep: int) -> dict[str, bool]:
-    """Simulate one dataset and run every requested test on shared plans.
+@dataclass(frozen=True)
+class PowerRow:
+    """Empirical rejection probability of one test under one design."""
+
+    test: str
+    design_id: int
+    rate: float
+    std_error: float
+
+
+@dataclass(frozen=True)
+class PowerTable:
+    """Power-study output: one row per (test, design), and the study's settings."""
+
+    rows: tuple[PowerRow, ...]
+    config: StudyConfig
+
+    def to_csv_text(self) -> str:
+        alpha_cvm, alpha_mean = self.config.alpha_split
+        lines = ["test,alpha_cvm,alpha_mean,design,rate,std_error,reps"]
+        for r in self.rows:
+            lines.append(
+                f"{r.test},{alpha_cvm:.10g},{alpha_mean:.10g},"
+                f"{r.design_id},{r.rate:.10g},{r.std_error:.10g},{self.config.reps}"
+            )
+        return "\n".join(lines) + "\n"
+
+    def format_table(self) -> str:
+        levels = "({:g}, {:g})".format(*self.config.alpha_split)
+        header = f"{'test':<10}{'levels':<18}{'design':>7}{'rate':>9}{'se':>9}{'reps':>7}"
+        lines = [header, "-" * len(header)]
+        for r in self.rows:
+            lines.append(
+                f"{r.test:<10}{levels:<18}{r.design_id:>7}"
+                f"{r.rate:>9.3f}{r.std_error:>9.3f}{self.config.reps:>7}"
+            )
+        return "\n".join(lines)
+
+
+def run_replication(config: StudyConfig, design: DesignSpec, rep: int) -> dict[str, bool]:
+    """Simulate one dataset of ``design`` and run every requested test on
+    shared plans.
 
     All randomness comes from substreams keyed by (seed, design, rep,
     stage), so results are identical no matter how replications are
@@ -258,21 +270,18 @@ def run_replication(config: StudyConfig, rep: int) -> dict[str, bool]:
     the measure's mean level may be estimated from the pooled simulated
     sample; both are label-invariant, so exactness is preserved.
     """
-    design = config.design
-    sim_rng = substream(config.seed, design.design_id, rep, 0)
-    groups = [
-        simulate_paths(params, size, sim_rng)
-        for params, size in zip(design.groups, design.group_sizes)
-    ]
-    pooled = np.vstack(groups)
+    key = seed_entropy(config.seed, design.design_id, rep)
     sizes = design.group_sizes
+    sim_rng = substream(key, 0)
+    pooled = np.vstack([simulate_paths(p, n, sim_rng) for p, n in zip(design.groups, sizes)])
 
     # each requested test's (statistic, level) decisions, made in this
     # order whatever the order of config.tests
-    alpha_total = config.alpha_cvm + config.alpha_mean
+    alpha_cvm, alpha_mean = config.alpha_split
+    alpha_total = alpha_cvm + alpha_mean
     decisions = {
         "cvm": (("cvm", alpha_total),),
-        "combined": (("cvm", config.alpha_cvm), ("mean_path", config.alpha_mean)),
+        "combined": (("cvm", alpha_cvm), ("mean_path", alpha_mean)),
         "energy": (("energy", alpha_total),),
     }
     decisions = {test: pairs for test, pairs in decisions.items() if test in config.tests}
@@ -280,28 +289,14 @@ def run_replication(config: StudyConfig, rep: int) -> dict[str, bool]:
 
     draws = None
     if "cvm" in wanted:
-        level = (
-            median_peak(pooled)
-            if config.mean_level == "auto"
-            else float(config.mean_level)
-        )
-        spec = MeasureSpec(
-            n_terms=config.n_terms,
-            mean_level=level,
-            law=config.coeff_law,
-            seed=seed_entropy(config.seed, design.design_id, rep, 1),
-        )
+        level = median_peak(pooled) if config.mean_level == "auto" else float(config.mean_level)
+        spec = MeasureSpec(config.n_terms, level, law=config.coeff_law, seed=(*key, 1))
         draws = draw_functions(spec, TimeGrid.regular(design.horizon), config.n_draws)
 
-    plans = make_plans(
-        sizes,
-        "sampled",
-        config.n_perms,
-        seed=seed_entropy(config.seed, design.design_id, rep, 2),
-    )
+    plans = make_plans(sizes, "sampled", config.n_perms, seed=(*key, 2))
     dists = permutation_distributions(pooled, sizes, plans, wanted, draws)
 
-    decision_rng = substream(config.seed, design.design_id, rep, 3)
+    decision_rng = substream(key, 3)
     out: dict[str, bool] = {}
     for test, pairs in decisions.items():
         # every decision draws from decision_rng, so all are made before any
@@ -328,7 +323,6 @@ def run_power_study(
     mean_level: "float | str" = "auto",
     seed: Seed = 0,
     shift_scale: float = 1.0,
-    baseline: GroupParams | None = None,
     mode: str = "randomized",
     threads: int = 1,
 ) -> PowerTable:
@@ -338,65 +332,34 @@ def run_power_study(
     combined test splits that total as given.  ``threads`` > 1 distributes
     replications across processes without changing any output.
     """
-    if reps < 1:
-        raise ValueError("need at least one replication")
-    design_ids = [int(d) for d in designs]
-    base = baseline if baseline is not None else synthetic_baseline(horizon)
-    configs = {}
-    for design_id in design_ids:
-        design = apply_design(design_id, base, group_sizes, shift_scale)
-        configs[design_id] = StudyConfig(
-            design=design,
-            tests=tuple(tests),
-            n_perms=int(n_perms),
-            alpha_cvm=float(alpha_split[0]),
-            alpha_mean=float(alpha_split[1]),
-            n_terms=int(n_terms),
-            n_draws=int(n_draws),
-            coeff_law=coeff_law,
-            mean_level=mean_level,
-            mode=mode,
-            seed=seed,
-        )
-
-    task_configs = [configs[d] for d in design_ids for _ in range(reps)]
-    task_reps = [rep for _ in design_ids for rep in range(reps)]
+    # tuples and plain numbers, so that the settings echo reads the same
+    # whatever sequence and number types the caller passed
+    config = StudyConfig(
+        designs=tuple(int(d) for d in designs), tests=tuple(tests), reps=int(reps),
+        n_perms=int(n_perms), alpha_split=(float(alpha_split[0]), float(alpha_split[1])),
+        n_terms=int(n_terms), n_draws=int(n_draws), coeff_law=coeff_law, mean_level=mean_level,
+        group_sizes=tuple(int(n) for n in group_sizes), horizon=int(horizon),
+        seed=seed if isinstance(seed, int) else tuple(seed), shift_scale=float(shift_scale),
+        mode=mode,
+    )
+    baseline = synthetic_baseline(config.horizon)
+    specs = [
+        apply_design(d, baseline, config.group_sizes, config.shift_scale) for d in config.designs
+    ]
+    task_designs = [spec for spec in specs for _ in range(config.reps)]
+    task_reps = [rep for _ in specs for rep in range(config.reps)]
+    replicate = partial(run_replication, config)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_replication, task_configs, task_reps, chunksize=8))
+            results = list(pool.map(replicate, task_designs, task_reps, chunksize=8))
     else:
-        results = list(map(run_replication, task_configs, task_reps))
+        results = list(map(replicate, task_designs, task_reps))
 
     rows = []
-    for i, design_id in enumerate(design_ids):
-        chunk = results[i * reps : (i + 1) * reps]
-        for test in tests:
-            hits = sum(1 for r in chunk if r[test])
-            rate = hits / reps
-            rows.append(
-                PowerRow(
-                    test=test,
-                    levels=(float(alpha_split[0]), float(alpha_split[1])),
-                    design_id=design_id,
-                    rate=rate,
-                    std_error=float(np.sqrt(rate * (1.0 - rate) / reps)),
-                    reps=reps,
-                )
-            )
-    config_echo = {
-        "designs": design_ids,
-        "tests": list(tests),
-        "reps": reps,
-        "n_perms": int(n_perms),
-        "alpha_split": [float(alpha_split[0]), float(alpha_split[1])],
-        "n_terms": int(n_terms),
-        "n_draws": int(n_draws),
-        "coeff_law": coeff_law,
-        "mean_level": mean_level,
-        "group_sizes": [int(n) for n in group_sizes],
-        "horizon": int(horizon),
-        "seed": seed if isinstance(seed, int) else list(seed),
-        "shift_scale": float(shift_scale),
-        "mode": mode,
-    }
-    return PowerTable(tuple(rows), config_echo)
+    for i, design_id in enumerate(config.designs):
+        chunk = results[i * config.reps : (i + 1) * config.reps]
+        for test in config.tests:
+            rate = sum(1 for r in chunk if r[test]) / config.reps
+            std_error = float(np.sqrt(rate * (1.0 - rate) / config.reps))
+            rows.append(PowerRow(test, design_id, rate, std_error))
+    return PowerTable(tuple(rows), config)

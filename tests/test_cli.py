@@ -347,3 +347,121 @@ def test_simulate_accepts_threads_flag_and_config_key(tmp_path, capsys):
                 "--T", "8", "--K", "3", "--L", "8", "--out-dir", tmp_path / "o"])
     assert code == 0
     capsys.readouterr()
+
+
+# the exact power_table.csv and power_config.json of one desk-scale study:
+# any drift in the settings echo's keys, key order or value types, or in
+# the rates, shows here
+PINNED_SIMULATE_ARGV = [
+    "simulate", "--designs", "1,3", "--tests", "tau,eta,sr", "--reps", "4", "--perms", "19",
+    "--sizes", "5,5,5", "--T", "12", "--K", "3", "--L", "16", "--seed", "3",
+    "--shift-scale", "6", "--alpha-tau", "0.04", "--alpha-nu", "0.01", "--mu1", "1.7",
+]
+PINNED_POWER_TABLE = """\
+test,alpha_cvm,alpha_mean,design,rate,std_error,reps
+cvm,0.04,0.01,1,0,0,4
+combined,0.04,0.01,1,0,0,4
+energy,0.04,0.01,1,0,0,4
+cvm,0.04,0.01,3,0.25,0.2165063509,4
+combined,0.04,0.01,3,0.5,0.25,4
+energy,0.04,0.01,3,0.5,0.25,4
+"""
+PINNED_POWER_CONFIG = """\
+{
+  "designs": [
+    1,
+    3
+  ],
+  "tests": [
+    "cvm",
+    "combined",
+    "energy"
+  ],
+  "reps": 4,
+  "n_perms": 19,
+  "alpha_split": [
+    0.04,
+    0.01
+  ],
+  "n_terms": 3,
+  "n_draws": 16,
+  "coeff_law": "gaussian",
+  "mean_level": 1.7,
+  "group_sizes": [
+    5,
+    5,
+    5
+  ],
+  "horizon": 12,
+  "seed": 3,
+  "shift_scale": 6.0,
+  "mode": "randomized"
+}
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_outputs_pinned(tmp_path, capsys, threads):
+    out = tmp_path / "pinned"
+    assert run(PINNED_SIMULATE_ARGV + ["--threads", threads, "--out-dir", out]) == 0
+    assert (out / "power_table.csv").read_text() == PINNED_POWER_TABLE
+    assert (out / "power_config.json").read_text() == PINNED_POWER_CONFIG
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("line, flags", [
+    ("", ["--designs", "1,3,1"]),
+    ("designs = 2, 2", []),
+], ids=["flag", "file"])
+def test_simulate_repeated_design_rejected(tmp_path, capsys, line, flags):
+    cfg = tmp_path / "designs.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    code = run(["simulate", "--config", cfg, *flags, "--reps", "2", "--out-dir", out])
+    assert code == 2
+    assert "design id" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_duplicate_key_fails(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("reps = 3\n# a comment\nreps = 5\n")
+    code = run(["simulate", "--config", cfg, "--out-dir", tmp_path / "o"])
+    assert code == 2
+    assert f"{cfg}:3: duplicate config key 'reps' (first at line 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["test", "simulate", "power-analytic"])
+def test_unwritable_out_dir_fails(tmp_path, capsys, command):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    extra = {
+        "test": ["--input", two_group_csv(tmp_path), "--perms", "19", "--L", "8", "--K", "3"],
+        "simulate": ["--designs", "1", "--tests", "tau", "--reps", "1", "--perms", "19",
+                     "--sizes", "3,3,3", "--T", "8", "--K", "3", "--L", "8"],
+        "power-analytic": [],
+    }[command]
+    code = run([command, *extra, "--out-dir", blocker])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+
+
+@pytest.mark.parametrize("command, flags, line, name", [
+    ("power-analytic", ["--eval-points", "nan,0.4"], "", "--eval-points"),
+    ("power-analytic", [], "eval_points = 0.4, inf", "'eval_points'"),
+    ("simulate", ["--shift-scale", "nan"], "", "--shift-scale"),
+    ("simulate", [], "shift_scale = -inf", "'shift_scale'"),
+    ("simulate", ["--mu1", "nan"], "", "--mu1"),
+    ("test", [], "mu1 = inf", "'mu1'"),
+], ids=["eval-points-flag", "eval-points-file", "shift-scale-flag", "shift-scale-file",
+        "mu1-flag", "mu1-file"])
+def test_non_finite_float_rejected(tmp_path, capsys, command, flags, line, name):
+    cfg = tmp_path / "floats.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    code = run([command, "--config", cfg, *flags, "--out-dir", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert name in err and "finite" in err
+    assert not out.exists()

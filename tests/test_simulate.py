@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ def test_power_study_single_replication_is_indicator():
         seed=3,
     )
     assert table.rows[0].rate in (0.0, 1.0)
-    assert table.rows[0].reps == 1
+    assert table.config.reps == 1
 
 
 def test_power_study_deterministic_given_seed():
@@ -214,19 +215,23 @@ def test_replication_makes_every_decision_in_fixed_order(monkeypatch):
     monkeypatch.setattr(simulate, "permutation_distributions", recording_distributions)
     monkeypatch.setattr(simulate, "decide", rejecting_decide)
     config = StudyConfig(
-        design=apply_design(1, synthetic_baseline(12), (4, 4, 4)),
+        designs=(1,),
         tests=("energy", "combined", "cvm"),
+        reps=1,
         n_perms=19,
-        alpha_cvm=0.03,
-        alpha_mean=0.02,
+        alpha_split=(0.03, 0.02),
         n_terms=3,
         n_draws=16,
         coeff_law="gaussian",
         mean_level="auto",
-        mode="randomized",
+        group_sizes=(4, 4, 4),
+        horizon=12,
         seed=5,
+        shift_scale=1.0,
+        mode="randomized",
     )
-    out = simulate.run_replication(config, 0)
+    design = apply_design(1, synthetic_baseline(12), (4, 4, 4))
+    out = simulate.run_replication(config, design, 0)
     total = 0.03 + 0.02
     assert calls == [("cvm", total), ("cvm", 0.03), ("mean_path", 0.02), ("energy", total)]
     assert out == {"cvm": True, "combined": True, "energy": True}
@@ -247,4 +252,25 @@ def test_power_table_formats():
     text = table.to_csv_text()
     assert text.splitlines()[0] == "test,alpha_cvm,alpha_mean,design,rate,std_error,reps"
     assert "cvm" in table.format_table()
-    assert table.config["designs"] == [1]
+    assert table.config.designs == (1,)
+
+
+def test_power_study_config_serializes_in_field_order():
+    # power_config.json is this record as JSON; a tuple seed is a list there
+    table = run_power_study(
+        designs=[2],
+        tests=("cvm",),
+        reps=1,
+        n_perms=19,
+        group_sizes=(3, 3, 3),
+        horizon=8,
+        n_terms=3,
+        n_draws=8,
+        seed=(7, 3),
+    )
+    assert json.dumps(dataclasses.asdict(table.config)) == (
+        '{"designs": [2], "tests": ["cvm"], "reps": 1, "n_perms": 19, '
+        '"alpha_split": [0.025, 0.025], "n_terms": 3, "n_draws": 8, '
+        '"coeff_law": "gaussian", "mean_level": "auto", "group_sizes": [3, 3, 3], '
+        '"horizon": 8, "seed": [7, 3], "shift_scale": 1.0, "mode": "randomized"}'
+    )
