@@ -36,6 +36,7 @@ from .measure import (
     trig_basis,
 )
 from .permutation import (
+    DECISION_MODES,
     CombinedResult,
     PermutationDistribution,
     PermutationPlan,
@@ -49,6 +50,7 @@ from .permutation import (
     p_value,
     permutation_distributions,
     run_combined_test,
+    sampled_plan_matrix,
 )
 from .rng import substream
 from .samples import (
@@ -71,6 +73,7 @@ from .simulate import (
     PowerTable,
     StudyConfig,
     apply_design,
+    design_paths,
     run_power_study,
     run_replication,
     simulate_paths,

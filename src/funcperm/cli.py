@@ -30,7 +30,7 @@ import numpy as np
 
 from . import local_power
 from .measure import COEFF_LAWS, MeasureSpec, draw_functions, median_peak
-from .permutation import make_plans, run_combined_test
+from .permutation import DECISION_MODES, run_combined_test, sampled_plan_matrix
 from .samples import SampleFormatError, load_samples
 from .simulate import DESIGN_IDS, TEST_NAMES, run_power_study
 
@@ -154,7 +154,7 @@ _OPTIONS = (
     _Option("L", _at_least(1), "4000", _RUNS, "number of evaluation-function draws"),
     _Option("K", _odd, "19", _RUNS, "number of basis terms (odd)"),
     _Option("seed", _at_least(0), "0", _RUNS, "master seed"),
-    _Option("mode", _one_of("randomized", "conservative"), "randomized", _RUNS,
+    _Option("mode", _one_of(*DECISION_MODES), "randomized", _RUNS,
             "decision rule on critical-value ties: randomized or conservative"),
     _Option("mu1", _mu1, "auto", _RUNS, "measure mean level, or 'auto'"),
     _Option("coeff_law", _one_of(*COEFF_LAWS), "gaussian", _RUNS,
@@ -253,7 +253,7 @@ def cmd_test(cfg: argparse.Namespace) -> int:
         seed=(cfg.seed, 1),
     )
     draws = draw_functions(spec, sample.grid, cfg.L)
-    plans = make_plans(sample.group_sizes, "sampled", cfg.perms, seed=(cfg.seed, 2))
+    plans = sampled_plan_matrix(sample.group_sizes, cfg.perms, seed=(cfg.seed, 2))
     result = run_combined_test(
         sample, draws, plans, cfg.alpha_tau, cfg.alpha_nu, cfg.mode, seed=(cfg.seed, 3)
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,9 +46,9 @@ class MeasureSpec:
 
     def __post_init__(self) -> None:
         if self.n_terms < 1 or self.n_terms % 2 == 0:
-            raise ValueError("n_terms must be an odd positive integer")
+            raise ValueError(f"n_terms must be an odd positive integer, got {self.n_terms}")
         if not np.isfinite(self.mean_level):
-            raise ValueError("mean_level must be finite")
+            raise ValueError(f"mean_level must be finite, got {self.mean_level!r}")
         sd = self.coeff_sd
         if sd is None:
             object.__setattr__(self, "coeff_sd", 1.0 / math.sqrt(self.n_terms))
@@ -100,9 +101,20 @@ def trig_basis(k: int, t, horizon: int):
 
 
 def basis_matrix(n_terms: int, grid: TimeGrid) -> np.ndarray:
-    """(n_terms, J) matrix of basis elements evaluated at slots 1..J."""
-    t = np.arange(1, grid.horizon + 1, dtype=float)
-    return np.vstack([trig_basis(k, t, grid.horizon) for k in range(1, n_terms + 1)])
+    """(n_terms, J) matrix of basis elements evaluated at slots 1..J.
+
+    The matrix is read-only and shared: repeated calls with the same
+    ``n_terms`` and grid length return the same array.
+    """
+    return _basis_matrix(int(n_terms), grid.horizon)
+
+
+@lru_cache(maxsize=16)
+def _basis_matrix(n_terms: int, horizon: int) -> np.ndarray:
+    t = np.arange(1, horizon + 1, dtype=float)
+    out = np.vstack([trig_basis(k, t, horizon) for k in range(1, n_terms + 1)])
+    out.flags.writeable = False
+    return out
 
 
 def expand_coefficients(coeffs: np.ndarray, grid: TimeGrid) -> np.ndarray:

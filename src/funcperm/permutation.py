@@ -32,6 +32,8 @@ from .rng import Seed, substream
 from .samples import pooled_by_group
 from .stats import permutation_statistics
 
+DECISION_MODES = ("randomized", "conservative")
+
 # Guard against alpha resolutions so fine that float rounding of
 # Q*(1-alpha) could move the order-statistic index.
 _QUANTILE_EPS = 1e-9
@@ -131,6 +133,37 @@ def _enumerate_assignments(group_sizes: Sequence[int]):
     yield from recurse(tuple(range(n_total)), 0)
 
 
+def _checked_sizes(group_sizes: Sequence[int]) -> tuple[int, ...]:
+    sizes = tuple(int(n) for n in group_sizes)
+    if len(sizes) < 2:
+        raise ValueError("need at least two groups to permute")
+    if any(n < 1 for n in sizes):
+        raise ValueError("every group must have at least one member")
+    if len(sizes) > 127:
+        raise ValueError("more than 127 groups is unsupported")
+    return sizes
+
+
+def sampled_plan_matrix(group_sizes: Sequence[int], count: int, seed: Seed) -> np.ndarray:
+    """Read-only (count, N) int8 matrix of group labels, one plan per row.
+
+    Row 0 is the identity assignment; rows 1.. are independent uniform
+    relabelings, duplicates permitted, drawn in row order from the one
+    stream keyed ``seed``, so a longer matrix extends a shorter one.  The
+    seed must be explicit: a default would share its stream with any
+    other stage left at the same default, such as ``MeasureSpec.seed``.
+    """
+    sizes = _checked_sizes(group_sizes)
+    if count is None or count < 1:
+        raise ValueError("sampled mode needs a positive plan count")
+    if seed is None:
+        raise ValueError("sampled mode needs an explicit seed")
+    matrix = np.tile(_identity_assignment(sizes), (count, 1))
+    substream(seed).permuted(matrix[1:], axis=1, out=matrix[1:])
+    matrix.flags.writeable = False
+    return matrix
+
+
 def make_plans(
     group_sizes: Sequence[int],
     mode: str = "sampled",
@@ -141,23 +174,14 @@ def make_plans(
     """Build the plan list the permutation engine iterates.
 
     ``exhaustive`` enumerates every distinct assignment exactly once
-    (error when the count exceeds ``cap``); ``sampled`` returns the
-    identity plus ``count - 1`` independent uniform relabelings, with
-    duplicates permitted.  All sampled relabelings come from the one
-    stream keyed ``seed``, drawn in plan order, so a longer plan list
-    extends a shorter one.  Sampled mode needs an explicit ``seed``: a
-    default would share its stream with any other stage left at the same
-    default, such as ``MeasureSpec.seed``.  Sampled plans hold read-only
-    views of one (count, N) matrix.
+    (error when the count exceeds ``cap``); ``sampled`` wraps the rows of
+    :func:`sampled_plan_matrix` as read-only views.  The engine also takes
+    that matrix directly.
     """
-    sizes = tuple(int(n) for n in group_sizes)
-    if len(sizes) < 2:
-        raise ValueError("need at least two groups to permute")
-    if any(n < 1 for n in sizes):
-        raise ValueError("every group must have at least one member")
-    if len(sizes) > 127:
-        raise ValueError("more than 127 groups is unsupported")
-
+    if mode == "sampled":
+        matrix = sampled_plan_matrix(group_sizes, count, seed)
+        return [PermutationPlan(row, q) for q, row in enumerate(matrix)]
+    sizes = _checked_sizes(group_sizes)
     if mode == "exhaustive":
         total = number_of_assignments(sizes)
         if total > cap:
@@ -169,15 +193,6 @@ def make_plans(
             PermutationPlan(assignment, index)
             for index, assignment in enumerate(_enumerate_assignments(sizes))
         ]
-    if mode == "sampled":
-        if count is None or count < 1:
-            raise ValueError("sampled mode needs a positive plan count")
-        if seed is None:
-            raise ValueError("sampled mode needs an explicit seed")
-        matrix = np.tile(_identity_assignment(sizes), (count, 1))
-        substream(seed).permuted(matrix[1:], axis=1, out=matrix[1:])
-        matrix.flags.writeable = False
-        return [PermutationPlan(row, q) for q, row in enumerate(matrix)]
     raise ValueError(f"unknown plan mode {mode!r}")
 
 
@@ -230,7 +245,7 @@ def decide(
     rejects with probability a (drawn from ``rng``); conservative mode
     never rejects on a tie.
     """
-    if mode not in ("randomized", "conservative"):
+    if mode not in DECISION_MODES:
         raise ValueError(f"unknown decision mode {mode!r}")
     threshold = critical_value(dist, alpha)  # validates alpha
     stats = dist.stats

@@ -30,7 +30,7 @@ def seed_entropy(seed: Seed, *key: int) -> tuple[int, ...]:
     parts = (seed,) if isinstance(seed, int) else tuple(seed)
     entropy = tuple(int(p) for p in parts) + tuple(int(k) for k in key)
     if any(p < 0 for p in entropy):
-        raise ValueError("seed and key components must be nonnegative integers")
+        raise ValueError(f"seed and key components must be nonnegative integers, got {entropy}")
     return entropy
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .measure import MeasureSpec, draw_functions, median_peak
-from .permutation import decide, make_plans, permutation_distributions
+from .permutation import DECISION_MODES, decide, permutation_distributions, sampled_plan_matrix
 from .rng import Seed, seed_entropy, substream
 from .samples import TimeGrid
 
@@ -162,6 +162,21 @@ def apply_design(
     return DesignSpec(design_id, tuple(groups), sizes)
 
 
+def _gaussian_paths(mu, sigma, rho, noise: np.ndarray) -> np.ndarray:
+    """The paths driven by ``noise`` (N, J): one row per path.
+
+    ``mu``, ``sigma`` and ``rho`` are (J,) vectors shared by every row or
+    (N, J) matrices with one row per path.  Each path's values depend
+    only on its own parameter and noise rows, so paths computed together
+    equal, bit for bit, the same paths computed in separate calls.
+    """
+    latent = noise * np.sqrt(1.0 - rho**2)
+    latent[:, 0] = noise[:, 0]
+    for t in range(1, noise.shape[1]):
+        latent[:, t] += rho[..., t] * latent[:, t - 1]
+    return mu + sigma * latent
+
+
 def simulate_paths(params: GroupParams, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n_paths`` independent paths of the Gaussian process.
 
@@ -171,14 +186,23 @@ def simulate_paths(params: GroupParams, n_paths: int, rng: np.random.Generator) 
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
-    horizon = params.horizon
-    noise = rng.standard_normal((n_paths, horizon))
-    latent = np.empty((n_paths, horizon))
-    latent[:, 0] = noise[:, 0]
-    innovation_scale = np.sqrt(1.0 - params.rho**2)
-    for t in range(1, horizon):
-        latent[:, t] = params.rho[t] * latent[:, t - 1] + noise[:, t] * innovation_scale[t]
-    return params.mu + params.sigma * latent
+    noise = rng.standard_normal((n_paths, params.horizon))
+    return _gaussian_paths(params.mu, params.sigma, params.rho, noise)
+
+
+def design_paths(design: DesignSpec, rng: np.random.Generator) -> np.ndarray:
+    """One dataset of ``design``: each group's paths, stacked in group order.
+
+    Equal, bit for bit, to ``np.vstack`` of :func:`simulate_paths` per
+    group on the same stream: one (N, J) normal draw consumes the stream
+    exactly as the per-group (n_s, J) draws do, in the same order.
+    """
+    noise = rng.standard_normal((sum(design.group_sizes), design.horizon))
+    mu, sigma, rho = (
+        np.repeat([getattr(g, name) for g in design.groups], design.group_sizes, axis=0)
+        for name in ("mu", "sigma", "rho")
+    )
+    return _gaussian_paths(mu, sigma, rho, noise)
 
 
 @dataclass(frozen=True)
@@ -206,12 +230,25 @@ class StudyConfig:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError("need at least one replication")
-        repeated = [d for i, d in enumerate(self.designs) if d in self.designs[:i]]
-        if repeated:
-            raise ValueError(f"design id {repeated[0]} is listed more than once")
+        for kind, values in (("design id", self.designs), ("test", self.tests)):
+            if not values:
+                raise ValueError(f"need at least one {kind}")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{kind} {repeated[0]!r} is listed more than once")
         unknown = set(self.tests) - set(TEST_NAMES)
         if unknown:
             raise ValueError(f"unknown tests {sorted(unknown)}")
+        if self.mode not in DECISION_MODES:
+            raise ValueError(f"unknown decision mode {self.mode!r}")
+        # the measure's and the key's own checks, made once per study
+        # instead of in the first replication; any finite level stands in
+        # for "auto"
+        level = 0.0 if self.mean_level == "auto" else float(self.mean_level)
+        MeasureSpec(self.n_terms, level, law=self.coeff_law)
+        if self.n_draws < 1:
+            raise ValueError(f"need at least one measure draw, got {self.n_draws}")
+        seed_entropy(self.seed)
         if self.n_perms < 2:
             raise ValueError("need at least two permutation plans")
         alpha_cvm, alpha_mean = self.alpha_split
@@ -272,8 +309,7 @@ def run_replication(config: StudyConfig, design: DesignSpec, rep: int) -> dict[s
     """
     key = seed_entropy(config.seed, design.design_id, rep)
     sizes = design.group_sizes
-    sim_rng = substream(key, 0)
-    pooled = np.vstack([simulate_paths(p, n, sim_rng) for p, n in zip(design.groups, sizes)])
+    pooled = design_paths(design, substream(key, 0))
 
     # each requested test's (statistic, level) decisions, made in this
     # order whatever the order of config.tests
@@ -293,7 +329,7 @@ def run_replication(config: StudyConfig, design: DesignSpec, rep: int) -> dict[s
         spec = MeasureSpec(config.n_terms, level, law=config.coeff_law, seed=(*key, 1))
         draws = draw_functions(spec, TimeGrid.regular(design.horizon), config.n_draws)
 
-    plans = make_plans(sizes, "sampled", config.n_perms, seed=(*key, 2))
+    plans = sampled_plan_matrix(sizes, config.n_perms, seed=(*key, 2))
     dists = permutation_distributions(pooled, sizes, plans, wanted, draws)
 
     decision_rng = substream(key, 3)
@@ -332,6 +368,8 @@ def run_power_study(
     combined test splits that total as given.  ``threads`` > 1 distributes
     replications across processes without changing any output.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads!r}")
     # tuples and plain numbers, so that the settings echo reads the same
     # whatever sequence and number types the caller passed
     config = StudyConfig(

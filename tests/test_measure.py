@@ -47,6 +47,18 @@ def test_basis_matrix_shape_and_rows():
     assert np.allclose(psi[2], math.sqrt(2) * np.sin(np.pi * (2 * t - 8) / 8))
 
 
+def test_basis_matrix_is_shared_and_read_only():
+    grid = TimeGrid.regular(96)
+    psi = basis_matrix(19, grid)
+    assert basis_matrix(19, TimeGrid.regular(96)) is psi
+    assert not psi.flags.writeable
+    t = np.arange(1, 97, dtype=float)
+    fresh = np.vstack([trig_basis(k, t, 96) for k in range(1, 20)])
+    assert psi.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        psi[0, 0] = 2.0
+
+
 def test_median_peak_hand_case():
     paths = np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 5.0]])
     # per-unit maxima {2, 3, 5} -> median 3

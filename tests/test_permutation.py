@@ -21,6 +21,7 @@ from funcperm import (
     p_value,
     permutation_distributions,
     permutation_statistics,
+    sampled_plan_matrix,
 )
 from funcperm.rng import substream
 
@@ -96,6 +97,17 @@ def test_sampled_plans_uniform_over_assignments():
     expected = (count - 1) / 6
     sd = math.sqrt((count - 1) * (1 / 6) * (5 / 6))
     assert np.all(np.abs(freq - expected) <= 5 * sd)
+
+
+def test_sampled_plan_matrix_is_make_plans_rows():
+    matrix = sampled_plan_matrix((4, 7, 1), 50, seed=(3, 2))
+    plans = make_plans((4, 7, 1), "sampled", count=50, seed=(3, 2))
+    assert matrix.dtype == np.int8
+    assert not matrix.flags.writeable
+    assert np.array_equal(matrix[0], np.repeat(np.arange(3), (4, 7, 1)))
+    assert matrix.tobytes() == np.stack([p.assignment for p in plans]).tobytes()
+    with pytest.raises(ValueError):
+        matrix[1, 0] = 0
 
 
 def test_make_plans_validation():

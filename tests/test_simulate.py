@@ -12,6 +12,7 @@ from funcperm import (
     GroupParams,
     StudyConfig,
     apply_design,
+    design_paths,
     run_power_study,
     simulate_paths,
     synthetic_baseline,
@@ -84,6 +85,36 @@ def test_simulation_deterministic():
     a = simulate_paths(params, 5, substream(7))
     b = simulate_paths(params, 5, substream(7))
     assert np.array_equal(a, b)
+
+
+def reference_paths(params: GroupParams, n_paths: int, rng) -> np.ndarray:
+    """One group's paths, one slot at a time, in the plainest form."""
+    noise = rng.standard_normal((n_paths, params.horizon))
+    latent = np.empty((n_paths, params.horizon))
+    latent[:, 0] = noise[:, 0]
+    innovation_scale = np.sqrt(1.0 - params.rho**2)
+    for t in range(1, params.horizon):
+        latent[:, t] = params.rho[t] * latent[:, t - 1] + noise[:, t] * innovation_scale[t]
+    return params.mu + params.sigma * latent
+
+
+@pytest.mark.parametrize("sizes", [(20, 20, 20), (3, 7, 1), (50, 50, 50)])
+@pytest.mark.parametrize("shift_scale", [1.0, 2.0])
+def test_design_paths_equal_per_group_draws(sizes, shift_scale):
+    # one pooled draw and recursion must reproduce the per-group draws on
+    # the same stream, bit for bit
+    base = synthetic_baseline(96)
+    for design_id in range(1, 11):
+        design = apply_design(design_id, base, sizes, shift_scale)
+        key = (7, design_id, 3, 0)
+        pooled = design_paths(design, substream(key))
+        rng, reference_rng = substream(key), substream(key)
+        per_group = np.vstack([simulate_paths(p, n, rng) for p, n in zip(design.groups, sizes)])
+        reference = np.vstack(
+            [reference_paths(p, n, reference_rng) for p, n in zip(design.groups, sizes)]
+        )
+        assert pooled.shape == reference.shape
+        assert pooled.tobytes() == per_group.tobytes() == reference.tobytes()
 
 
 def test_design_1_has_no_effect():
@@ -273,4 +304,98 @@ def test_power_study_config_serializes_in_field_order():
         '"alpha_split": [0.025, 0.025], "n_terms": 3, "n_draws": 8, '
         '"coeff_law": "gaussian", "mean_level": "auto", "group_sizes": [3, 3, 3], '
         '"horizon": 8, "seed": [7, 3], "shift_scale": 1.0, "mode": "randomized"}'
+    )
+
+
+STUDY_KW = dict(
+    designs=[1],
+    tests=("cvm",),
+    reps=1,
+    n_perms=19,
+    group_sizes=(3, 3, 3),
+    horizon=8,
+    n_terms=3,
+    n_draws=8,
+    seed=2,
+)
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"tests": ("cvm", "cvm")}, "test 'cvm' is listed more than once"),
+        ({"tests": ()}, "at least one test"),
+        ({"designs": []}, "at least one design id"),
+        ({"mode": "bogus"}, "decision mode 'bogus'"),
+        ({"coeff_law": "bogus"}, "coefficient law 'bogus'"),
+        ({"threads": 0}, "threads must be at least 1, got 0"),
+        ({"threads": 2, "mode": "bogus"}, "decision mode 'bogus'"),
+        ({"n_terms": 4}, "odd positive integer, got 4"),
+        ({"n_draws": 0}, "at least one measure draw, got 0"),
+        ({"mean_level": "bogus"}, "'bogus'"),
+        ({"mean_level": float("nan")}, "finite, got nan"),
+        ({"seed": (3, -1)}, r"got \(3, -1\)"),
+    ],
+    ids=[
+        "repeated-test", "no-tests", "no-designs", "mode", "coeff-law", "threads-0",
+        "mode-threads-2", "even-n-terms", "no-draws", "mean-level-text", "mean-level-nan",
+        "negative-seed",
+    ],
+)
+def test_bad_study_setting_rejected_before_any_replication(monkeypatch, setting, message):
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulate, "run_replication", no_replication)
+    with pytest.raises(ValueError, match=message):
+        run_power_study(**{**STUDY_KW, **setting})
+
+
+def test_power_study_pinned_at_benchmark_shapes():
+    # written by the per-group simulation and plan-object code this path
+    # replaced; any drift in a statistic's bits that flips a decision shows
+    table = run_power_study(
+        designs=range(1, 11),
+        tests=("cvm", "combined", "energy"),
+        reps=1,
+        n_perms=199,
+        group_sizes=(20, 20, 20),
+        horizon=96,
+        alpha_split=(0.025, 0.025),
+        n_terms=19,
+        n_draws=512,
+        seed=11,
+    )
+    assert table.to_csv_text() == (
+        "test,alpha_cvm,alpha_mean,design,rate,std_error,reps\n"
+        "cvm,0.025,0.025,1,0,0,1\n"
+        "combined,0.025,0.025,1,0,0,1\n"
+        "energy,0.025,0.025,1,0,0,1\n"
+        "cvm,0.025,0.025,2,0,0,1\n"
+        "combined,0.025,0.025,2,0,0,1\n"
+        "energy,0.025,0.025,2,0,0,1\n"
+        "cvm,0.025,0.025,3,1,0,1\n"
+        "combined,0.025,0.025,3,1,0,1\n"
+        "energy,0.025,0.025,3,0,0,1\n"
+        "cvm,0.025,0.025,4,0,0,1\n"
+        "combined,0.025,0.025,4,0,0,1\n"
+        "energy,0.025,0.025,4,0,0,1\n"
+        "cvm,0.025,0.025,5,0,0,1\n"
+        "combined,0.025,0.025,5,0,0,1\n"
+        "energy,0.025,0.025,5,0,0,1\n"
+        "cvm,0.025,0.025,6,0,0,1\n"
+        "combined,0.025,0.025,6,0,0,1\n"
+        "energy,0.025,0.025,6,0,0,1\n"
+        "cvm,0.025,0.025,7,1,0,1\n"
+        "combined,0.025,0.025,7,1,0,1\n"
+        "energy,0.025,0.025,7,0,0,1\n"
+        "cvm,0.025,0.025,8,0,0,1\n"
+        "combined,0.025,0.025,8,0,0,1\n"
+        "energy,0.025,0.025,8,0,0,1\n"
+        "cvm,0.025,0.025,9,1,0,1\n"
+        "combined,0.025,0.025,9,1,0,1\n"
+        "energy,0.025,0.025,9,0,0,1\n"
+        "cvm,0.025,0.025,10,0,0,1\n"
+        "combined,0.025,0.025,10,0,0,1\n"
+        "energy,0.025,0.025,10,0,0,1\n"
     )
