@@ -12,16 +12,14 @@ comparator, and closed-form local-power oracles round out the package.
 from .local_power import (
     PowerCurve,
     correlation_comparison_power,
-    correlation_shift_curve,
     cvm_power_correlation_shift,
     cvm_power_mean_shift,
     cvm_power_variance_shift,
     mean_comparison_power,
-    mean_shift_curve,
     mean_shift_ncp_coefficient,
     null_variance,
+    shift_curve,
     variance_comparison_power,
-    variance_shift_curve,
 )
 from .measure import (
     COEFF_LAWS,
@@ -83,9 +81,9 @@ from .special import (
     chisq_cdf,
     chisq_quantile,
     noncentral_chisq_cdf,
+    noncentral_chisq_sf,
     normal_cdf,
     normal_pdf,
-    regularized_gamma_p,
 )
 from .stats import (
     cvm_statistic,

@@ -352,20 +352,12 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 
 def cmd_power_analytic(cfg: argparse.Namespace) -> int:
     out_dir = _out_dir(cfg.out_dir)
-    level = cfg.alpha_tau + cfg.alpha_nu
-    # file, curve, shift magnitudes, evaluation point unless --eval-points
-    curves = (
-        ("mean_shift_power.csv", local_power.mean_shift_curve,
-         np.sqrt(np.linspace(0.0, 100.0, 41)), (0.4, 0.4)),
-        ("variance_shift_power.csv", local_power.variance_shift_curve,
-         np.linspace(0.0, 3.0, 31), (-0.4, 0.4)),
-        ("correlation_shift_power.csv", local_power.correlation_shift_curve,
-         np.linspace(0.0, 3.0, 31), (-0.2, 0.2)),
-    )
-    for name, build, shifts, points in curves:
-        curve = build(shifts, *(cfg.eval_points or points), level=level)
+    x1, x2 = cfg.eval_points or (None, None)
+    names = [f"{kind}_shift_power.csv" for kind in local_power.SHIFTS]
+    for kind, name in zip(local_power.SHIFTS, names):
+        curve = local_power.shift_curve(kind, x1=x1, x2=x2, level=cfg.alpha_tau + cfg.alpha_nu)
         (out_dir / name).write_text(curve.to_csv_text())
-    print(f"curves written to {out_dir}: {', '.join(name for name, *_ in curves)}")
+    print(f"curves written to {out_dir}: {', '.join(names)}")
     return 0
 
 

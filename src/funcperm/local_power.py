@@ -4,9 +4,10 @@ Benchmark: two groups observed at two time points, the measure putting
 all its mass on one evaluation point (x1, x2), the alternative shrinking
 toward the null at the root-n rate.  In that regime the scaled
 CDF-distance statistic is asymptotically noncentral chi-square with one
-degree of freedom, which yields closed-form power curves against mean,
-variance, and correlation shifts.  Comparator tests (mean, variance, and
-correlation comparisons) have their own noncentral chi-square limits.
+degree of freedom, so its local power is that of a two-sided z-test
+against mean, variance, and correlation shifts.  Comparator tests (mean,
+variance, and correlation comparisons) have their own noncentral
+chi-square limits.
 
 These curves serve as an independent oracle for the Monte Carlo engine:
 at matching configurations the simulated rejection rate of the
@@ -16,33 +17,45 @@ permutation test must agree with the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .special import chisq_quantile, noncentral_chisq_cdf, normal_cdf, normal_pdf
+import numpy as np
+
+from .special import chisq_quantile, noncentral_chisq_sf, normal_cdf, normal_pdf
 
 DEFAULT_LEVEL = 0.05
 
 
-@lru_cache(maxsize=None)
 def _critical(level: float, df: int) -> float:
     # Computed, not hard-coded: 3.841459 for df=1 and 5.991465 for df=2
     # at the 0.05 level.
     return chisq_quantile(1.0 - level, df)
 
 
+def _chisq_power(ncp: float, df: int, level: float) -> float:
+    return noncentral_chisq_sf(_critical(level, df), df, ncp)
+
+
 def null_variance(x1: float, x2: float) -> float:
     """Asymptotic null variance of the scaled ECDF difference at (x1, x2).
 
-    Equals 2 F (1 - F) with F = Phi(x1) Phi(x2); strictly positive for
-    finite evaluation points.
+    Equals 2 F (1 - F) with F = Phi(x1) Phi(x2).  Positive in exact
+    arithmetic, but in floating point it rounds to 0 once F falls below
+    the smallest double or 1 - F below about 1e-16, that is at points deep
+    in the tails such as (-40, 0) or (9, 9).
     """
     f = normal_cdf(x1) * normal_cdf(x2)
     return 2.0 * f * (1.0 - f)
 
 
-def _chisq_power(ncp: float, df: int, level: float) -> float:
-    return 1.0 - noncentral_chisq_cdf(_critical(level, df), df, ncp)
+def _cvm_ncp(drift: float, x1: float, x2: float) -> float:
+    # drift^2 / null_variance; where the variance rounds to 0 there is no
+    # finite noncentrality to report
+    variance = null_variance(x1, x2)
+    if variance == 0.0:
+        raise ValueError(f"evaluation point ({x1}, {x2}) is too far in the tails: "
+                         "its null variance rounds to 0")
+    return drift**2 / variance
 
 
 def mean_shift_ncp_coefficient(x1: float, x2: float) -> float:
@@ -52,16 +65,14 @@ def mean_shift_ncp_coefficient(x1: float, x2: float) -> float:
     evaluation points the coefficient peaks near x1 = x2 = 0.4, where it
     is about 0.119.
     """
-    drift = normal_cdf(x1) * normal_pdf(x2)
-    return drift**2 / null_variance(x1, x2)
+    return _cvm_ncp(normal_cdf(x1) * normal_pdf(x2), x1, x2)
 
 
 def cvm_power_mean_shift(
     shift: float, x1: float, x2: float, level: float = DEFAULT_LEVEL
 ) -> float:
     """Local power of the CDF-distance test against a mean shift."""
-    ncp = mean_shift_ncp_coefficient(x1, x2) * shift**2
-    return _chisq_power(ncp, 1, level)
+    return _chisq_power(mean_shift_ncp_coefficient(x1, x2) * shift**2, 1, level)
 
 
 def mean_comparison_power(shift: float, level: float = DEFAULT_LEVEL) -> float:
@@ -84,7 +95,7 @@ def cvm_power_variance_shift(
     drift = shift * (
         x1 * normal_pdf(x1) * normal_cdf(x2) + x2 * normal_cdf(x1) * normal_pdf(x2)
     )
-    return _chisq_power(drift**2 / null_variance(x1, x2), 1, level)
+    return _chisq_power(_cvm_ncp(drift, x1, x2), 1, level)
 
 
 def variance_comparison_power(shift: float, level: float = DEFAULT_LEVEL) -> float:
@@ -93,8 +104,7 @@ def variance_comparison_power(shift: float, level: float = DEFAULT_LEVEL) -> flo
     Noncentrality shift^2 / (1 + shift^4) with two degrees of freedom;
     note this expression is not monotone beyond shift = 1.
     """
-    ncp = shift**2 / (1.0 + shift**4)
-    return _chisq_power(ncp, 2, level)
+    return _chisq_power(shift**2 / (1.0 + shift**4), 2, level)
 
 
 def cvm_power_correlation_shift(
@@ -105,7 +115,7 @@ def cvm_power_correlation_shift(
     Drift: rho phi(x1) phi(x2); depends on rho only through rho^2.
     """
     drift = rho * normal_pdf(x1) * normal_pdf(x2)
-    return _chisq_power(drift**2 / null_variance(x1, x2), 1, level)
+    return _chisq_power(_cvm_ncp(drift, x1, x2), 1, level)
 
 
 def correlation_comparison_power(rho: float, level: float = DEFAULT_LEVEL) -> float:
@@ -114,8 +124,32 @@ def correlation_comparison_power(rho: float, level: float = DEFAULT_LEVEL) -> fl
     Noncentrality rho^2 / [1 + (1 - rho^2)^2] with one degree of freedom;
     not monotone beyond rho^2 = sqrt(2).
     """
-    ncp = rho**2 / (1.0 + (1.0 - rho**2) ** 2)
-    return _chisq_power(ncp, 1, level)
+    return _chisq_power(rho**2 / (1.0 + (1.0 - rho**2) ** 2), 1, level)
+
+
+@dataclass(frozen=True)
+class Shift:
+    """One shift type: the CDF-distance test's power, the comparator test
+    and its power, whether the curve is tabulated against the squared
+    shift, the default evaluation point and the command line's grid."""
+
+    cdf_power: Callable[[float, float, float, float], float]
+    comparator: str
+    comparator_power: Callable[[float, float], float]
+    squared: bool
+    eval_points: tuple[float, float]
+    grid: tuple[float, ...]
+
+
+SHIFTS = {
+    "mean": Shift(cvm_power_mean_shift, "mean_comparison", mean_comparison_power,
+                  True, (0.4, 0.4), tuple(np.sqrt(np.linspace(0.0, 100.0, 41)))),
+    "variance": Shift(cvm_power_variance_shift, "variance_comparison", variance_comparison_power,
+                      False, (-0.4, 0.4), tuple(np.linspace(0.0, 3.0, 31))),
+    "correlation": Shift(cvm_power_correlation_shift, "correlation_comparison",
+                         correlation_comparison_power, False, (-0.2, 0.2),
+                         tuple(np.linspace(0.0, 3.0, 31))),
+}
 
 
 @dataclass(frozen=True)
@@ -145,69 +179,19 @@ class PowerCurve:
         return "\n".join(lines) + "\n"
 
 
-def mean_shift_curve(
-    shifts: Sequence[float],
-    x1: float = 0.4,
-    x2: float = 0.4,
-    level: float = DEFAULT_LEVEL,
-) -> PowerCurve:
-    """Powers against mean shifts, tabulated against the squared shift."""
-    return PowerCurve(
-        shift_name="mean",
-        abscissa_name="shift_squared",
-        abscissa=tuple(s**2 for s in shifts),
-        powers={
-            "cdf_distance": tuple(cvm_power_mean_shift(s, x1, x2, level) for s in shifts),
-            "mean_comparison": tuple(mean_comparison_power(s, level) for s in shifts),
-        },
-        eval_points=(x1, x2),
-        level=level,
-    )
-
-
-def variance_shift_curve(
-    shifts: Sequence[float],
-    x1: float = -0.4,
-    x2: float = 0.4,
-    level: float = DEFAULT_LEVEL,
-) -> PowerCurve:
-    """Powers against variance shifts."""
-    return PowerCurve(
-        shift_name="variance",
-        abscissa_name="shift",
-        abscissa=tuple(float(s) for s in shifts),
-        powers={
-            "cdf_distance": tuple(
-                cvm_power_variance_shift(s, x1, x2, level) for s in shifts
-            ),
-            "variance_comparison": tuple(
-                variance_comparison_power(s, level) for s in shifts
-            ),
-        },
-        eval_points=(x1, x2),
-        level=level,
-    )
-
-
-def correlation_shift_curve(
-    rhos: Sequence[float],
-    x1: float = -0.2,
-    x2: float = 0.2,
-    level: float = DEFAULT_LEVEL,
-) -> PowerCurve:
-    """Powers against correlation shifts."""
-    return PowerCurve(
-        shift_name="correlation",
-        abscissa_name="shift",
-        abscissa=tuple(float(r) for r in rhos),
-        powers={
-            "cdf_distance": tuple(
-                cvm_power_correlation_shift(r, x1, x2, level) for r in rhos
-            ),
-            "correlation_comparison": tuple(
-                correlation_comparison_power(r, level) for r in rhos
-            ),
-        },
-        eval_points=(x1, x2),
-        level=level,
-    )
+def shift_curve(kind: str, shifts: Sequence[float] | None = None, x1: float | None = None,
+                x2: float | None = None, level: float = DEFAULT_LEVEL) -> PowerCurve:
+    """Powers of the CDF-distance test and its comparator against the
+    ``kind`` shift (a key of :data:`SHIFTS`).  Shifts, and each evaluation
+    coordinate, default to the row's grid and point."""
+    row = SHIFTS[kind]
+    shifts = row.grid if shifts is None else shifts
+    x1 = row.eval_points[0] if x1 is None else x1
+    x2 = row.eval_points[1] if x2 is None else x2
+    powers = {
+        "cdf_distance": tuple(row.cdf_power(s, x1, x2, level) for s in shifts),
+        row.comparator: tuple(row.comparator_power(s, level) for s in shifts),
+    }
+    abscissa = tuple(s**2 if row.squared else float(s) for s in shifts)
+    name = "shift_squared" if row.squared else "shift"
+    return PowerCurve(kind, name, abscissa, powers, (x1, x2), level)

@@ -1,22 +1,22 @@
 """Normal and (noncentral) chi-square distribution kernels.
 
-Self-contained implementations on top of ``math.erfc``/``math.lgamma`` so
-results do not depend on an external library.  Accuracy targets: absolute
-error below 1e-10 for the normal CDF, ~1e-12 for the central chi-square
-CDF away from extreme tails, and a 1e-12 truncation bound for the
-noncentral series.
+The local-power oracle only meets chi-square laws with one degree of
+freedom (a squared normal) and two (an exponential with mean 2), so the
+chi-square functions are the closed forms of those two laws, built on the
+standard library; any other df raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_GAMMA_TOL = 1e-15
-_GAMMA_MAX_ITER = 10_000
-_NC_TAIL = 1e-12
+# past its mode the df-2 series' Poisson weights fall geometrically; the
+# sum stops there once the current weight is below this
+_NC_TAIL = 1e-17
 
 
 def normal_cdf(x: float) -> float:
@@ -29,117 +29,66 @@ def normal_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-def _gamma_p_series(a: float, x: float) -> float:
-    # Lower regularized incomplete gamma by power series; good for x < a + 1.
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_GAMMA_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _GAMMA_TOL:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # Upper regularized incomplete gamma by modified Lentz continued
-    # fraction; good for x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_TOL:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) for a > 0, x >= 0."""
-    if a <= 0:
-        raise ValueError("shape parameter must be positive")
+def _check(x: float, df: float) -> None:
+    if df not in (1, 2):
+        raise ValueError(f"degrees of freedom must be 1 or 2, got {df}")
     if x < 0:
         raise ValueError("argument must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return min(_gamma_p_series(a, x), 1.0)
-    return max(1.0 - _gamma_q_contfrac(a, x), 0.0)
 
 
 def chisq_cdf(x: float, df: float) -> float:
-    """Central chi-square distribution function."""
-    if df < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    return regularized_gamma_p(0.5 * df, 0.5 * x)
+    """Central chi-square distribution function: erf(sqrt(x/2)) for df 1,
+    1 - exp(-x/2) for df 2."""
+    _check(x, df)
+    return math.erf(math.sqrt(0.5 * x)) if df == 1 else -math.expm1(-0.5 * x)
 
 
 def chisq_quantile(p: float, df: float) -> float:
-    """Central chi-square quantile by monotone bisection on the CDF."""
+    """Central chi-square quantile: the squared two-sided normal quantile
+    for df 1, -2 log(1 - p) for df 2."""
     if not 0.0 < p < 1.0:
         raise ValueError("probability must lie strictly between 0 and 1")
-    if df < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    lo, hi = 0.0, max(4.0 * df, 8.0)
-    while chisq_cdf(hi, df) < p:
-        hi *= 2.0
-        if hi > 1e308:
-            raise ArithmeticError("quantile bracket expansion failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if chisq_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    _check(0.0, df)
+    if df == 1:
+        return NormalDist().inv_cdf(0.5 * (1.0 + p)) ** 2
+    return -2.0 * math.log1p(-p)
+
+
+def noncentral_chisq_sf(x: float, df: float, ncp: float) -> float:
+    """Noncentral chi-square upper tail P(X > x).
+
+    df 1: X = (Z + sqrt(ncp))^2, so the tail is
+    Phi(sqrt(ncp) - sqrt(x)) + Phi(-sqrt(ncp) - sqrt(x)).  df 2: a
+    Poisson(ncp/2) mixture over j of the Erlang(j + 1) upper tails at x/2,
+    each the Poisson(x/2) mass on 0..j; ncp and x above 1400 raise.
+    """
+    _check(x, df)
+    if ncp < 0:
+        raise ValueError("noncentrality must be nonnegative")
+    if df == 1:
+        root, cut = math.sqrt(ncp), math.sqrt(x)
+        return normal_cdf(root - cut) + normal_cdf(-root - cut)
+    half, y = 0.5 * ncp, 0.5 * x
+    if half > 700.0:
+        raise ValueError("noncentrality too large for the series expansion")
+    if y > 700.0:
+        # exp(-y) would underflow; no level above 1e-300 puts x this high
+        raise ValueError("argument too large for the series expansion")
+    weight, term = math.exp(-half), math.exp(-y)
+    tail = term
+    total = weight * tail
+    j = 0
+    while j <= half or weight > _NC_TAIL:
+        j += 1
+        weight *= half / j
+        term *= y / j
+        tail += term
+        total += weight * tail
+    return min(total, 1.0)
 
 
 def noncentral_chisq_cdf(x: float, df: float, ncp: float) -> float:
-    """Noncentral chi-square distribution function.
-
-    Poisson mixture of central CDFs: sum_j e^{-ncp/2} (ncp/2)^j / j! times
-    the central CDF with df + 2j degrees of freedom, truncated once the
-    remaining Poisson mass drops below 1e-12 (the central CDFs are at most
-    one, so the truncated tail is below that bound).
-    """
-    if df < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    if ncp < 0:
-        raise ValueError("noncentrality must be nonnegative")
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
+    """Noncentral chi-square distribution function, one minus the tail."""
     if ncp == 0.0:
         return chisq_cdf(x, df)
-    half = 0.5 * ncp
-    if half > 700.0:
-        raise ValueError("noncentrality too large for the series expansion")
-    weight = math.exp(-half)
-    cum_weight = weight
-    total = weight * chisq_cdf(x, df)
-    j = 0
-    while 1.0 - cum_weight > _NC_TAIL:
-        j += 1
-        weight *= half / j
-        cum_weight += weight
-        total += weight * chisq_cdf(x, df + 2.0 * j)
-        if j > 100_000:
-            raise ArithmeticError("noncentral series failed to converge")
-    return min(total, 1.0)
+    return 1.0 - noncentral_chisq_sf(x, df, ncp)

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
+import funcperm as fp
 from funcperm.cli import main
 
 
@@ -237,6 +240,47 @@ def test_power_analytic_eval_points_echoed(tmp_path, capsys):
     text = (out / "correlation_shift_power.csv").read_text()
     assert "# eval_points = (-0.4, 0.4)" in text
     capsys.readouterr()
+
+
+# sha256 of the three curve files; --eval-points changes only the mean and
+# correlation files, since the variance default point is (-0.4, 0.4)
+_MEAN = "22debbc3b207a965aadec3b789045f342a2b09fd02d9721c03520c98c7f1af29"
+_VARIANCE = "287d720d3c448f8adbbcc7211945708d194c5b3b7b9bc747630bb9c16e8d80e7"
+_CORRELATION = "1e3f0195ca1f5def58d6acf2d5b574bac2a1ade5507f9ed6ac72f2d7ef1c70ec"
+
+
+@pytest.mark.parametrize("flags, digests", [
+    pytest.param([], (_MEAN, _VARIANCE, _CORRELATION), id="default"),
+    pytest.param(["--eval-points=-0.4,0.4"], (
+        "712f7a07a33426e3825053ffeedaf72a6703d126ad0a5e4845bc52cfd6ff7562",
+        _VARIANCE,
+        "8036ed67ed2bda8752e291248f49f0aba27ce7205fa7a69921009bcea43c0e88",
+    ), id="eval-points"),
+])
+def test_power_analytic_outputs_pinned(tmp_path, capsys, flags, digests):
+    out = tmp_path / "curves"
+    assert run(["power-analytic", *flags, "--out-dir", out]) == 0
+    for kind, digest in zip(("mean", "variance", "correlation"), digests):
+        text = (out / f"{kind}_shift_power.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == digest, kind
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("x1, x2", [(9.0, 9.0), (-40.0, 0.0), (40.0, 40.0)])
+def test_deep_tail_eval_point_fails_loudly(tmp_path, capsys, x1, x2):
+    # 2 F (1 - F) rounds to 0 there: the library raises naming the point,
+    # and the command reports it and exits 2
+    point = f"({x1}, {x2})"
+    for power in (fp.cvm_power_mean_shift, fp.cvm_power_variance_shift,
+                  fp.cvm_power_correlation_shift):
+        with pytest.raises(ValueError, match=re.escape(point)):
+            power(1.0, x1, x2)
+    with pytest.raises(ValueError, match=re.escape(point)):
+        fp.mean_shift_ncp_coefficient(x1, x2)
+    code = run(["power-analytic", f"--eval-points={x1},{x2}", "--out-dir", tmp_path / "o"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and point in err
 
 
 def options_case(command, option, case_id=None):

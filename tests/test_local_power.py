@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from funcperm import (
     correlation_comparison_power,
-    correlation_shift_curve,
     cvm_power_correlation_shift,
     cvm_power_mean_shift,
     cvm_power_variance_shift,
     mean_comparison_power,
-    mean_shift_curve,
     mean_shift_ncp_coefficient,
     null_variance,
+    shift_curve,
     variance_comparison_power,
-    variance_shift_curve,
 )
+from funcperm.local_power import SHIFTS
 
 ALL_POWERS_AT_ZERO = [
     lambda: cvm_power_mean_shift(0.0, 0.4, 0.4),
@@ -100,20 +100,61 @@ def test_correlation_power_symmetric_in_sign():
 
 
 def test_curve_builders_zero_row_and_metadata():
-    curve = mean_shift_curve([0.0, 1.0, 2.0], 0.4, 0.4)
+    curve = shift_curve("mean", [0.0, 1.0, 2.0], 0.4, 0.4)
     assert curve.powers["cdf_distance"][0] == pytest.approx(0.05, abs=1e-9)
     assert curve.abscissa == (0.0, 1.0, 4.0)  # squared shifts
     text = curve.to_csv_text()
     assert "# eval_points = (0.4, 0.4)" in text
     assert "shift_squared,cdf_distance,mean_comparison" in text
 
-    vcurve = variance_shift_curve([0.0, 0.5], -0.4, 0.4)
+    vcurve = shift_curve("variance", [0.0, 0.5], -0.4, 0.4)
     assert vcurve.powers["variance_comparison"][0] == pytest.approx(0.05, abs=1e-9)
-    ccurve = correlation_shift_curve([0.0, 0.5], -0.2, 0.2)
+    ccurve = shift_curve("correlation", [0.0, 0.5], -0.2, 0.2)
     assert ccurve.powers["correlation_comparison"][0] == pytest.approx(0.05, abs=1e-9)
     assert "# chisq_crit_df1 = 3.841459" in ccurve.to_csv_text()
 
 
 def test_curves_use_computed_critical_values():
-    text = correlation_shift_curve([0.0], -0.2, 0.2).to_csv_text()
+    text = shift_curve("correlation", [0.0], -0.2, 0.2).to_csv_text()
     assert "5.991465" in text  # df-2 critical value, computed not hard-coded
+
+
+def test_df1_powers_reach_one_at_large_shifts():
+    # the two-sided z-test form has no series to overflow; scipy agrees
+    assert cvm_power_mean_shift(120.0, 0.4, 0.4) == 1.0
+    assert cvm_power_correlation_shift(200.0, -0.2, 0.2) == 1.0
+
+
+def test_mean_comparison_series_guard():
+    # df 2 sums a Poisson(ncp / 2) series, refused once ncp / 2 = shift^2 / 4
+    # passes 700, that is beyond a shift of sqrt(2800) ~ 52.9
+    assert mean_comparison_power(52.9) == pytest.approx(1.0, abs=1e-13)
+    for shift in (53.0, 60.0):
+        with pytest.raises(ValueError, match="noncentrality too large"):
+            mean_comparison_power(shift)
+
+
+def _scipy_ncps(kind, s, x1, x2):
+    # (df, ncp) of the CDF-distance test and of its comparator, from scipy's
+    # normal law rather than the package's kernel
+    cdf, pdf = scipy_stats.norm.cdf, scipy_stats.norm.pdf
+    f = cdf(x1) * cdf(x2)
+    variance = 2.0 * f * (1.0 - f)
+    if kind == "mean":
+        return (1, (s * cdf(x1) * pdf(x2)) ** 2 / variance), (2, 0.5 * s**2)
+    if kind == "variance":
+        drift = s * (x1 * pdf(x1) * cdf(x2) + x2 * cdf(x1) * pdf(x2))
+        return (1, drift**2 / variance), (2, s**2 / (1.0 + s**4))
+    drift = s * pdf(x1) * pdf(x2)
+    return (1, drift**2 / variance), (1, s**2 / (1.0 + (1.0 - s**2) ** 2))
+
+
+@pytest.mark.parametrize("level", [0.05, 0.01, 0.001])
+def test_cli_grids_match_scipy(level):
+    for kind, row in SHIFTS.items():
+        curve = shift_curve(kind, level=level)
+        columns = list(curve.powers.values())
+        for i, s in enumerate(row.grid):
+            for power, (df, ncp) in zip(columns, _scipy_ncps(kind, s, *row.eval_points)):
+                crit = scipy_stats.chi2.ppf(1.0 - level, df)
+                assert abs(power[i] - scipy_stats.ncx2.sf(crit, df, ncp)) <= 1e-13
