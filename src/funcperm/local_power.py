@@ -168,7 +168,7 @@ class PowerCurve:
         lines = [
             f"# shift = {self.shift_name}",
             f"# eval_points = ({self.eval_points[0]}, {self.eval_points[1]})",
-            f"# level = {self.level}",
+            f"# level = {self.level:.10g}",
             f"# chisq_crit_df1 = {_critical(self.level, 1):.6f} (computed)",
             f"# chisq_crit_df2 = {_critical(self.level, 2):.6f} (computed)",
             ",".join([self.abscissa_name] + names),

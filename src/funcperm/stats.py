@@ -33,6 +33,13 @@ Numerical contract:
   exact whatever the summation order or thread count, and they become
   float64 before the division by the group size (N above 2**24 is
   rejected);
+* the CvM step reduces the plans in fixed blocks of rows, so its memory
+  does not grow with Q: per block, one product gives every treatment's
+  counts and the control counts are the pooled counts minus their sum.
+  Both are exact integers, and the float64 steps after them work row by
+  row, so a plan's cvm value does not depend on the block it falls in.
+  mean_path and energy take every plan in one float64 product, whose
+  rounding can depend on how many rows the product has;
 * the remaining reductions use numpy's pairwise summation, so
   recomputing any statistic on the same inputs is bit-identical, and
   mathematically equivalent summation orders agree to better than 1e-12
@@ -59,6 +66,10 @@ _MAX_EXACT_COUNT = 1 << 24
 # prefix-bitmask tables and their sort and index arrays.  Small blocks stay
 # in cache.
 _INDICATOR_BLOCK_BYTES = 1 << 20
+
+# Bytes that the CvM step may hold for one block of plan rows: its float32
+# treatment masks and counts and its float64 group means.
+_CVM_BLOCK_BYTES = 1 << 24
 
 
 def _as_matrix(paths) -> np.ndarray:
@@ -259,19 +270,66 @@ def _plan_matrix(plans, group_sizes: Sequence[int]) -> np.ndarray:
     return matrix
 
 
-def _group_mean_contrast(masks, sizes, features: np.ndarray, width: int) -> np.ndarray:
-    """Per plan, the CvM / mean-path sum over treatments of group-mean contrasts.
+def _cvm_block_rows(n_treat: int, n_paths: int, n_cols: int) -> int:
+    """Plan rows per CvM block: as many as fit ``_CVM_BLOCK_BYTES``."""
+    # per row: the float32 treatment masks, the bool control-mask test, the
+    # float32 treatment and control counts, and the float64 means of the
+    # control and of one treatment
+    row_bytes = 4 * n_treat * n_paths + n_paths + 4 * (n_treat + 1) * n_cols + 16 * n_cols
+    return max(1, _CVM_BLOCK_BYTES // row_bytes)
 
-    Group sums are taken in the dtype of ``features``, casting each mask
-    that is not already of that dtype, and divided by the group size in
-    float64.  ``features`` may leave out columns that are equal for every
-    group; ``width`` counts them too and divides the average.  Group means
-    are formed one treatment at a time, so at most three (Q, columns)
-    blocks are live, whatever the number of groups.
+
+def _cvm_contrast(matrix: np.ndarray, sizes, hits: np.ndarray, pooled_hits, width: int) -> np.ndarray:
+    """Per plan, the CvM sum over treatments of squared group-CDF contrasts.
+
+    ``hits`` is the float32 (N, L') indicator of the informative draws and
+    ``pooled_hits`` its column sums; ``width`` counts every draw and
+    divides the average.  Plans are taken in blocks of rows that fit
+    ``_CVM_BLOCK_BYTES``, and each block's plan sizes are checked.  A
+    block's S treatment masks are stacked into one (S * rows, N) float32
+    matrix for a single product with ``hits``; the control counts are the
+    pooled counts minus the treatment counts.
     """
+    n_plans, n_paths = matrix.shape
+    n_treat, n_cols = len(sizes) - 1, hits.shape[1]
+    treatments = np.arange(1, len(sizes))[:, None, None]
+    block = _cvm_block_rows(n_treat, n_paths, n_cols)
+    total = np.zeros(n_plans)
+    for start in range(0, n_plans, block):
+        rows = matrix[start:start + block]
+        masks = np.empty((n_treat,) + rows.shape, dtype=np.float32)
+        np.equal(rows, treatments, out=masks)
+        if not (
+            np.all(np.count_nonzero(rows == 0, axis=1) == sizes[0])
+            and np.all(masks.sum(axis=2) == np.array(sizes[1:])[:, None])
+        ):
+            raise ValueError("a plan does not respect the group sizes")
+        counts = (masks.reshape(-1, n_paths) @ hits).reshape(n_treat, len(rows), n_cols)
+        del masks
+        control = counts.sum(axis=0)
+        np.subtract(pooled_hits, control, out=control)
+        control = np.divide(control, sizes[0], dtype=np.float64)
+        part = total[start:start + block]
+        for s in range(1, len(sizes)):
+            contrast = np.divide(counts[s - 1], sizes[s], dtype=np.float64)
+            np.subtract(control, contrast, out=contrast)
+            np.square(contrast, out=contrast)
+            part += (sizes[0] + sizes[s]) * (contrast.sum(axis=1) / width)
+            del contrast  # free it before the next treatment's block is built
+    return total
+
+
+def _mean_path_contrast(masks, sizes, pooled: np.ndarray) -> np.ndarray:
+    """Per plan, the mean-path sum over treatments of group-mean contrasts.
+
+    Group sums are float64 mask products, divided by the group size.
+    Group means are formed one treatment at a time, so at most three
+    (Q, J) blocks are live, whatever the number of groups.
+    """
+    width = pooled.shape[1]
 
     def group_mean(s: int) -> np.ndarray:
-        sums = masks[s].astype(features.dtype, copy=False) @ features
+        sums = masks[s].astype(np.float64, copy=False) @ pooled
         return np.divide(sums, sizes[s], dtype=np.float64)
 
     control = group_mean(0)
@@ -338,11 +396,6 @@ def permutation_statistics(
             raise ValueError("the cvm statistic supports at most 2**24 pooled paths")
     pooled = np.asarray(pooled, dtype=float)
     matrix = _plan_matrix(plans, sizes)
-    masks = [matrix == s for s in range(len(sizes))]
-    for s, mask in enumerate(masks):
-        if not np.all(mask.sum(axis=1) == sizes[s]):
-            raise ValueError("a plan does not respect the group sizes")
-
     out: dict[str, np.ndarray] = {}
     if "cvm" in statistics:
         below = indicator_matrix(pooled, draws.values)
@@ -351,12 +404,20 @@ def permutation_statistics(
         # group under every plan: it adds exactly 0 but still counts in L
         varying = (pooled_count > 0) & (pooled_count < below.shape[0])
         hits = below[:, varying].astype(np.float32)
-        out["cvm"] = _group_mean_contrast(masks, sizes, hits, below.shape[1])
+        del below
+        pooled_hits = pooled_count[varying].astype(np.float32)
+        out["cvm"] = _cvm_contrast(matrix, sizes, hits, pooled_hits, len(varying))
+    if set(statistics) != {"cvm"}:
+        # whole (Q, N) masks; a call for no statistic only checks the plans
+        masks = [matrix == s for s in range(len(sizes))]
+        for s, mask in enumerate(masks):
+            if not np.all(mask.sum(axis=1) == sizes[s]):
+                raise ValueError("a plan does not respect the group sizes")
     if "energy" in statistics:
         # energy needs every mask as float64 at once; mean_path shares them
         masks = [mask.astype(np.float64) for mask in masks]
     if "mean_path" in statistics:
-        out["mean_path"] = _group_mean_contrast(masks, sizes, pooled, pooled.shape[1])
+        out["mean_path"] = _mean_path_contrast(masks, sizes, pooled)
     if "energy" in statistics:
         out["energy"] = _distance_contrast(masks, sizes, pairwise_distances(pooled))
     return out

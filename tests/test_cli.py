@@ -242,6 +242,15 @@ def test_power_analytic_eval_points_echoed(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_power_analytic_level_written_to_ten_digits(tmp_path, capsys):
+    # 0.1 + 0.2 is 0.30000000000000004 in binary floating point
+    out = tmp_path / "curves"
+    assert run(["power-analytic", "--alpha-tau", "0.1", "--alpha-nu", "0.2", "--out-dir", out]) == 0
+    for kind in ("mean", "variance", "correlation"):
+        assert "# level = 0.3\n" in (out / f"{kind}_shift_power.csv").read_text(), kind
+    capsys.readouterr()
+
+
 # sha256 of the three curve files; --eval-points changes only the mean and
 # correlation files, since the variance default point is (-0.4, 0.4)
 _MEAN = "22debbc3b207a965aadec3b789045f342a2b09fd02d9721c03520c98c7f1af29"
@@ -509,3 +518,54 @@ def test_non_finite_float_rejected(tmp_path, capsys, command, flags, line, name)
     err = capsys.readouterr().err
     assert name in err and "finite" in err
     assert not out.exists()
+
+
+def _test_argv(csv_path, seed):
+    return ["test", "--input", csv_path, "--perms", "29", "--L", "16", "--K", "3",
+            "--seed", str(seed)]
+
+
+def test_rerun_into_same_out_dir_matches_fresh_dir(tmp_path, capsys):
+    # the reports of a rerun replace those of an earlier run with other
+    # results, byte for byte as a run into a new directory writes them
+    csv_path = two_group_csv(tmp_path)
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert run(_test_argv(csv_path, 4) + ["--out-dir", fresh]) == 0
+    for seed in (5, 4):
+        assert run(_test_argv(csv_path, seed) + ["--out-dir", reused]) == 0
+    for name in ("report.csv", "report.json"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    capsys.readouterr()
+
+
+def test_symlink_at_report_path_is_replaced(tmp_path, capsys):
+    target = tmp_path / "target.csv"
+    target.write_text("keep me\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.csv").symlink_to(target)
+    assert run(_test_argv(two_group_csv(tmp_path), 4) + ["--out-dir", out]) == 0
+    assert not (out / "report.csv").is_symlink()
+    assert (out / "report.csv").read_text().startswith("test,levels,")
+    assert target.read_text() == "keep me\n"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("test", "report.json"),
+    ("test", "report.csv"),
+    ("simulate", "power_config.json"),
+    ("power-analytic", "variance_shift_power.csv"),
+])
+def test_directory_at_report_path_fails(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    extra = {
+        "test": _test_argv(two_group_csv(tmp_path), 4)[1:],
+        "simulate": ["--designs", "1", "--tests", "tau", "--reps", "1", "--perms", "19",
+                     "--sizes", "3,3,3", "--T", "8", "--K", "3", "--L", "8"],
+        "power-analytic": [],
+    }[command]
+    assert run([command, *extra, "--out-dir", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out / name}: ")
+    assert (out / name).is_dir()

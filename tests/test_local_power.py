@@ -125,13 +125,15 @@ def test_df1_powers_reach_one_at_large_shifts():
     assert cvm_power_correlation_shift(200.0, -0.2, 0.2) == 1.0
 
 
-def test_mean_comparison_series_guard():
-    # df 2 sums a Poisson(ncp / 2) series, refused once ncp / 2 = shift^2 / 4
-    # passes 700, that is beyond a shift of sqrt(2800) ~ 52.9
-    assert mean_comparison_power(52.9) == pytest.approx(1.0, abs=1e-13)
-    for shift in (53.0, 60.0):
-        with pytest.raises(ValueError, match="noncentrality too large"):
-            mean_comparison_power(shift)
+def test_mean_comparison_series_past_exp_underflow():
+    # df 2 sums a Poisson(ncp / 2) series from exp(-ncp / 2), which
+    # underflows once ncp / 2 = shift^2 / 4 passes about 745, that is beyond
+    # a shift of about 54.6; the series carries its power of two apart
+    crit = scipy_stats.chi2.isf(0.05, 2)
+    for shift in (52.9, 53.0, 60.0):
+        expected = scipy_stats.ncx2.sf(crit, 2, 0.5 * shift**2)
+        assert expected == 1.0
+        assert mean_comparison_power(shift) == pytest.approx(expected, abs=1e-13)
 
 
 def _scipy_ncps(kind, s, x1, x2):

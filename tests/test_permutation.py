@@ -23,6 +23,7 @@ from funcperm import (
     permutation_statistics,
     sampled_plan_matrix,
 )
+from funcperm import stats as stats_module
 from funcperm.rng import substream
 
 
@@ -407,24 +408,71 @@ def test_engine_identity_plan_matches_standalone():
     )
 
 
-def test_engine_repeated_partition_is_bit_identical():
+def test_engine_repeated_partition_is_bit_identical(monkeypatch):
     # each statistic is a fixed function of the partition, so a plan that
     # repeats the identity must reproduce its value exactly, wherever it
-    # sits in the plan matrix
+    # sits in the plan matrix; with 5-row CvM blocks the repeats sit in
+    # the first, second and last (short) block
+    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: 5)
     rng = np.random.default_rng(15)
     sizes = (4, 3, 5)
     pooled = rng.normal(size=(sum(sizes), 6))
     draws = MeasureDraws(values=rng.normal(size=(33, 6)))
     plans = make_plans(sizes, "sampled", count=12, seed=6)
     matrix = np.stack([p.assignment for p in plans])
-    matrix[3] = matrix[0]
-    matrix[7] = matrix[0]
+    repeats = (3, 7, 11)
+    matrix[list(repeats)] = matrix[0]
     names = ("cvm", "mean_path", "energy")
     out = permutation_statistics(pooled, sizes, matrix, names, draws)
     for name in names:
         stats = out[name]
-        assert stats[3] == stats[0], name
-        assert stats[7] == stats[0], name
+        for row in repeats:
+            assert stats[row] == stats[0], (name, row)
+
+
+def _cvm_case(sizes, width, n_draws, q, seed):
+    rng = np.random.default_rng(seed)
+    pooled = rng.normal(size=(sum(sizes), width))
+    draws = MeasureDraws(values=rng.normal(size=(n_draws, width)))
+    return pooled, draws, sampled_plan_matrix(sizes, q, seed=(seed, 2))
+
+
+def test_engine_cvm_blocks_match_one_call(monkeypatch):
+    # 50 plans in 7-row blocks (the last one short) against one block: the
+    # counts are exact integers and the float64 steps work row by row
+    sizes = (6, 5, 7, 4)
+    pooled, draws, matrix = _cvm_case(sizes, 5, 40, 50, seed=21)
+    whole = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
+    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: 7)
+    blocked = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
+    assert blocked.tobytes() == whole.tobytes()
+
+
+def test_engine_cvm_block_rows_at_cohort_shape():
+    # 4 treatments, N = 1492 paths, L' = 2112 informative draws
+    assert stats_module._cvm_block_rows(4, 1492, 2112) >= 128
+
+
+@pytest.mark.parametrize("label", [0, 2])
+def test_engine_cvm_checks_plan_sizes_in_every_block(monkeypatch, label):
+    # a plan in the last block moves one path of group `label` to a label
+    # that no group has
+    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: 4)
+    sizes = (3, 3, 3)
+    pooled, draws, matrix = _cvm_case(sizes, 3, 20, 10, seed=22)
+    matrix = matrix.copy()
+    matrix[9, np.flatnonzero(matrix[9] == label)[0]] = 5
+    with pytest.raises(ValueError, match="group sizes"):
+        permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)
+
+
+def test_engine_cvm_without_informative_draws_is_zero():
+    # every draw lies above every path: no draw separates the groups
+    sizes = (3, 4)
+    pooled, _, matrix = _cvm_case(sizes, 3, 1, 9, seed=23)
+    draws = MeasureDraws(values=np.full((5, 3), pooled.max() + 1.0))
+    out = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
+    assert out.tolist() == [0.0] * 9
 
 
 def _with_constant_draws(zvals, pooled):
@@ -486,6 +534,27 @@ def test_engine_cvm_peak_memory_bounded():
     # plan matrix, and the (N, L) indicator, its temporary and float32 copy
     layout = 20 * q * n_draws + (len(sizes) + 1) * q * n + 6 * n * n_draws
     assert peak <= 1.1 * layout
+
+
+def test_engine_cvm_peak_memory_independent_of_q():
+    # the sizes of test_engine_cvm_peak_memory_bounded; the plan matrix is
+    # built outside the trace, so what grows with Q is only the (Q,) result
+    rng = np.random.default_rng(3)
+    sizes, width, n_draws = (100, 100, 100), 24, 1000
+    n = sum(sizes)
+    pooled = rng.normal(size=(n, 1)) + 0.1 * rng.normal(size=(n, width))
+    levels = rng.uniform(-1.0, 2.0, size=(n_draws, 1))
+    draws = MeasureDraws(values=levels + 0.1 * rng.normal(size=(n_draws, width)))
+    peaks = {}
+    for q in (2000, 8000):
+        matrix = sampled_plan_matrix(sizes, q, seed=(5, 2))
+        tracemalloc.start()
+        try:
+            permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)
+            _, peaks[q] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[8000] <= 1.1 * peaks[2000]
 
 
 def _engine_peak_bytes(statistic, sizes, width, q) -> int:

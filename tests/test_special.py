@@ -70,6 +70,22 @@ def test_noncentral_against_scipy():
                 )
 
 
+def test_noncentral_df2_past_exp_underflow_against_scipy():
+    # from ncp or x = 1400 on, the series' starts exp(-ncp / 2) and
+    # exp(-x / 2) near or pass underflow; the series carries the power of
+    # two of each start apart
+    for x, ncp in ((5.99, 2000.0), (1400.0, 1400.0), (1500.0, 1400.0), (3000.0, 2800.0), (1e4, 1e4)):
+        assert 1.0 - noncentral_chisq_cdf(x, 2, ncp) == pytest.approx(
+            scipy_stats.ncx2.sf(x, 2, ncp), abs=1e-13
+        )
+    # past 2e6 the series would run for seconds
+    for ncp in (2.1e6, math.inf):
+        with pytest.raises(ValueError, match="noncentrality too large"):
+            noncentral_chisq_cdf(1.0, 2, ncp)
+        with pytest.raises(ValueError, match="argument too large"):
+            noncentral_chisq_cdf(ncp, 2, 1.0)
+
+
 def test_noncentral_monotone_in_ncp():
     x = 5.0
     values = [noncentral_chisq_cdf(x, 1, ncp) for ncp in (0.0, 0.5, 1.0, 4.0, 9.0)]
