@@ -235,17 +235,22 @@ def _out_dir(path: str) -> Path:
     return out_dir
 
 
-def _write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` as a new file.
+def _write(out_dir: Path, texts: dict[str, str]) -> None:
+    """Write each text to its file name in ``out_dir``, as a new file.
 
-    Whatever is at the path is unlinked first: a symbolic link is replaced,
-    never written through, and no old file is truncated in place, which
-    costs tens of milliseconds on some file systems where unlinking it and
-    creating a new one costs microseconds.
+    Whatever is at each path is unlinked first: a symbolic link is
+    replaced, never written through, and no old file is truncated in place,
+    which costs tens of milliseconds on some file systems where unlinking it
+    and creating a new one costs microseconds.  Every path is unlinked
+    before the first text is written, so a path that cannot be replaced
+    fails the command before it writes any file.
     """
+    paths = {out_dir / name: text for name, text in texts.items()}
     try:
-        path.unlink(missing_ok=True)
-        path.write_text(text)
+        for path in paths:
+            path.unlink(missing_ok=True)
+        for path, text in paths.items():
+            path.write_text(text)
     except OSError as err:
         raise ValueError(f"cannot write {path}: {err}") from err
 
@@ -305,8 +310,6 @@ def cmd_test(cfg: argparse.Namespace) -> int:
             },
         },
     }
-    _write(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
-
     csv_lines = ["test,levels,observed,critical,p_value,phi,rejected"]
     for name, res in (("cvm", result.cvm), ("mean_path", result.mean_path)):
         csv_lines.append(
@@ -316,7 +319,10 @@ def cmd_test(cfg: argparse.Namespace) -> int:
     csv_lines.append(
         f"combined,\"{label}\",,,{result.p_value_combined:.10g},,{int(result.rejected)}"
     )
-    _write(out_dir / "report.csv", "\n".join(csv_lines) + "\n")
+    _write(out_dir, {
+        "report.json": json.dumps(report, indent=2) + "\n",
+        "report.csv": "\n".join(csv_lines) + "\n",
+    })
 
     print(f"groups: {list(sample.group_sizes)}  grid points: {sample.grid.horizon}")
     print(f"levels {label}  permutations {cfg.perms}  draws {cfg.L}")
@@ -358,8 +364,10 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         threads=cfg.threads,
     )
     out_dir = _out_dir(cfg.out_dir)
-    _write(out_dir / "power_table.csv", table.to_csv_text())
-    _write(out_dir / "power_config.json", json.dumps(asdict(table.config), indent=2) + "\n")
+    _write(out_dir, {
+        "power_table.csv": table.to_csv_text(),
+        "power_config.json": json.dumps(asdict(table.config), indent=2) + "\n",
+    })
     print(table.format_table())
     print(f"table written to {out_dir}")
     return 0
@@ -368,11 +376,13 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 def cmd_power_analytic(cfg: argparse.Namespace) -> int:
     out_dir = _out_dir(cfg.out_dir)
     x1, x2 = cfg.eval_points or (None, None)
-    names = [f"{kind}_shift_power.csv" for kind in local_power.SHIFTS]
-    for kind, name in zip(local_power.SHIFTS, names):
-        curve = local_power.shift_curve(kind, x1=x1, x2=x2, level=cfg.alpha_tau + cfg.alpha_nu)
-        _write(out_dir / name, curve.to_csv_text())
-    print(f"curves written to {out_dir}: {', '.join(names)}")
+    level = cfg.alpha_tau + cfg.alpha_nu
+    texts = {
+        f"{kind}_shift_power.csv": local_power.shift_curve(kind, x1=x1, x2=x2, level=level).to_csv_text()
+        for kind in local_power.SHIFTS
+    }
+    _write(out_dir, texts)
+    print(f"curves written to {out_dir}: {', '.join(texts)}")
     return 0
 
 

@@ -21,10 +21,14 @@ two-sample forms.
 
 Numerical contract:
 
-* the CvM indicator is a ``bool`` (N, L) matrix that equals the pointwise
-  ``<=`` test exactly: it is built from per-grid-point sorted orders,
-  prefix bitmasks and bitwise ANDs, so only comparisons decide it and no
-  arithmetic touches a path value (draws must be finite);
+* the CvM indicator equals the pointwise ``<=`` test exactly: it is built
+  from per-grid-point sorted orders, prefix bitmasks and bitwise ANDs
+  into packed uint64 words, one row per draw, so only comparisons decide
+  it and no arithmetic touches a path value (draws must be finite).
+  :func:`indicator_matrix` unpacks the words into a ``bool`` (N, L)
+  matrix; the CvM step counts each draw's paths from the words and
+  unpacks only the informative draws' words, straight into the float32
+  (N, L') ``hits`` matrix, so it never builds an (N, L) matrix;
 * draws whose pooled count is 0 or N are the same for every group under
   every plan, so they add exactly 0 and are dropped before the group
   counts; the average still divides by all L draws;
@@ -33,13 +37,17 @@ Numerical contract:
   exact whatever the summation order or thread count, and they become
   float64 before the division by the group size (N above 2**24 is
   rejected);
-* the CvM step reduces the plans in fixed blocks of rows, so its memory
-  does not grow with Q: per block, one product gives every treatment's
-  counts and the control counts are the pooled counts minus their sum.
-  Both are exact integers, and the float64 steps after them work row by
-  row, so a plan's cvm value does not depend on the block it falls in.
-  mean_path and energy take every plan in one float64 product, whose
-  rounding can depend on how many rows the product has;
+* the CvM step reduces the plans in fixed blocks of rows: per block, one
+  product gives every treatment's counts and the control counts are the
+  pooled counts minus their sum.  Both are exact integers.  The float64
+  steps after them (divide, subtract, square, row sums) run in row slices
+  of the block and work row by row, so a plan's cvm value depends neither
+  on its block nor on its slice.  Besides the 4 N L' bytes of ``hits``,
+  the step holds one block's masks and counts (``_CVM_BLOCK_BYTES``) and
+  one slice's tail (``_CVM_TAIL_BYTES``) at a time, or one row where a
+  row needs more, so its memory does not grow with Q.  mean_path and
+  energy take every plan in one float64 product, whose rounding can
+  depend on how many rows the product has;
 * the remaining reductions use numpy's pairwise summation, so
   recomputing any statistic on the same inputs is bit-identical, and
   mathematically equivalent summation orders agree to better than 1e-12
@@ -68,8 +76,16 @@ _MAX_EXACT_COUNT = 1 << 24
 _INDICATOR_BLOCK_BYTES = 1 << 20
 
 # Bytes that the CvM step may hold for one block of plan rows: its float32
-# treatment masks and counts and its float64 group means.
-_CVM_BLOCK_BYTES = 1 << 24
+# treatment masks and counts.
+_CVM_BLOCK_BYTES = 1 << 23
+
+# Bytes that the CvM step may hold for one slice of a block's rows in its
+# float64 tail: the control counts and the control and treatment means.
+_CVM_TAIL_BYTES = 1 << 20
+
+# Set bits of every byte value, to count the paths below each draw from its
+# packed indicator words.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _as_matrix(paths) -> np.ndarray:
@@ -107,29 +123,10 @@ def ecdf_indicator(paths, z) -> float:
     return float(np.all(paths <= z, axis=1).mean())
 
 
-def indicator_matrix(paths, zvalues) -> np.ndarray:
-    """(N, L) bool matrix: entry (i, l) is True iff path i <= draw l everywhere.
-
-    Built from sorted orders, with no arithmetic on the values.  At each
-    grid point the paths at or below a draw are a prefix of that point's
-    sorted path order (tied paths are all in or all out), so the draw
-    selects one row of a table of prefix bitmasks: row c holds the bits
-    of the c lowest paths, path i being bit i % 64 of uint64 word i // 64.
-    The prefix length c comes from the draws' sorted order: path i is at
-    or below the draw in sorted position q iff at most q draws lie
-    strictly below path i, which one ``searchsorted`` of the sorted paths
-    per grid point counts.  The rows each draw selects are AND-ed over
-    the grid points and unpacked once.  Only comparisons in numpy's sort
-    order decide the result, so it equals the pointwise ``<=`` test
-    exactly, also for NaN, +inf and -inf paths and for -0.0 against +0.0.
-    Draws must be finite: a NaN draw would sort above every path.
-
-    A grid point's table takes (N + 1) * ceil(N/64) * 8 bytes, which is
-    more than the N x L result once N exceeds about 16 L.  Grid points
-    are taken in blocks whose tables and sort arrays fit
-    ``_INDICATOR_BLOCK_BYTES`` (at least one point per block).  The
-    result is the transpose of an (L, N) array.
-    """
+def _indicator_words(paths, zvalues) -> np.ndarray:
+    """(L, ceil(N/64)) uint64 words of :func:`indicator_matrix`: path i
+    is bit i % 64 of word i // 64 in row l iff path i <= draw l everywhere.
+    Bits past path N - 1 are 0."""
     paths = _as_matrix(paths)
     zvalues = _as_matrix(zvalues)
     if zvalues.shape[1] != paths.shape[1]:
@@ -141,6 +138,7 @@ def indicator_matrix(paths, zvalues) -> np.ndarray:
     words = max(1, -(-n_paths // 64))
     bits = np.left_shift(np.uint64(1), np.arange(n_paths, dtype=np.uint64) & np.uint64(63))
     acc = np.full((n_draws, words), np.iinfo(np.uint64).max, dtype=np.uint64)
+    acc[:, -1] = (1 << (n_paths - 64 * (words - 1))) - 1
     path_cols = np.ascontiguousarray(paths.T)
     draw_cols = np.ascontiguousarray(zvalues.T)
     # per grid point: its table and about eight int64 or float64 sort and
@@ -173,10 +171,44 @@ def indicator_matrix(paths, zvalues) -> np.ndarray:
         flat_tables = tables.reshape(-1, words)
         for point_rows in rows:
             acc &= flat_tables.take(point_rows, axis=0)
-    unpacked = np.unpackbits(
-        acc.astype("<u8", copy=False).view(np.uint8), axis=1, count=n_paths, bitorder="little"
+    return acc
+
+
+def _unpack_words(words: np.ndarray, n_paths: int) -> np.ndarray:
+    """(rows, n_paths) uint8 0/1 bits of (rows, words) indicator words."""
+    return np.unpackbits(
+        words.astype("<u8", copy=False).view(np.uint8), axis=1, count=n_paths, bitorder="little"
     )
-    return unpacked.view(np.bool_).T
+
+
+def indicator_matrix(paths, zvalues) -> np.ndarray:
+    """(N, L) bool matrix: entry (i, l) is True iff path i <= draw l everywhere.
+
+    Built from sorted orders, with no arithmetic on the values.  At each
+    grid point the paths at or below a draw are a prefix of that point's
+    sorted path order (tied paths are all in or all out), so the draw
+    selects one row of a table of prefix bitmasks: row c holds the bits
+    of the c lowest paths, path i being bit i % 64 of uint64 word i // 64.
+    The prefix length c comes from the draws' sorted order: path i is at
+    or below the draw in sorted position q iff at most q draws lie
+    strictly below path i, which one ``searchsorted`` of the sorted paths
+    per grid point counts.  The rows each draw selects are AND-ed over
+    the grid points into one row of packed words per draw, and this
+    function unpacks them; the CvM step of :func:`permutation_statistics`
+    counts and unpacks the same words itself.  Only comparisons in
+    numpy's sort order decide the result, so it equals the pointwise
+    ``<=`` test exactly, also for NaN, +inf and -inf paths and for -0.0
+    against +0.0.  Draws must be finite: a NaN draw would sort above every
+    path.
+
+    A grid point's table takes (N + 1) * ceil(N/64) * 8 bytes, which is
+    more than the N x L result once N exceeds about 16 L.  Grid points
+    are taken in blocks whose tables and sort arrays fit
+    ``_INDICATOR_BLOCK_BYTES`` (at least one point per block).  The
+    result is the transpose of an (L, N) array.
+    """
+    paths = _as_matrix(paths)
+    return _unpack_words(_indicator_words(paths, zvalues), paths.shape[0]).view(np.bool_).T
 
 
 def _identity_plan_statistic(
@@ -270,13 +302,37 @@ def _plan_matrix(plans, group_sizes: Sequence[int]) -> np.ndarray:
     return matrix
 
 
+def _cvm_hits(pooled: np.ndarray, zvalues) -> tuple[np.ndarray, np.ndarray]:
+    """The CvM step's float32 (N, L') indicator of the informative draws,
+    C-ordered, and its float32 column sums.
+
+    A draw every path is below, or none is, has the same CDF in every
+    group under every plan: it adds exactly 0 but still counts in L, so
+    it is dropped here.  The pooled counts come from the packed words of
+    :func:`indicator_matrix` through a byte popcount table, and only the
+    informative draws' words are unpacked, so no (N, L) matrix is built.
+    """
+    words = _indicator_words(pooled, zvalues)
+    pooled_count = _POPCOUNT[words.view(np.uint8)].sum(axis=1)
+    varying = (pooled_count > 0) & (pooled_count < len(pooled))
+    hits = _unpack_words(words[varying], len(pooled)).T.astype(np.float32, order="C")
+    return hits, pooled_count[varying].astype(np.float32)
+
+
 def _cvm_block_rows(n_treat: int, n_paths: int, n_cols: int) -> int:
     """Plan rows per CvM block: as many as fit ``_CVM_BLOCK_BYTES``."""
-    # per row: the float32 treatment masks, the bool control-mask test, the
-    # float32 treatment and control counts, and the float64 means of the
-    # control and of one treatment
-    row_bytes = 4 * n_treat * n_paths + n_paths + 4 * (n_treat + 1) * n_cols + 16 * n_cols
+    # per row: the float32 treatment masks, the bool control-mask test and
+    # the float32 treatment counts
+    row_bytes = 4 * n_treat * n_paths + n_paths + 4 * n_treat * n_cols
     return max(1, _CVM_BLOCK_BYTES // row_bytes)
+
+
+def _cvm_tail_rows(n_cols: int) -> int:
+    """Plan rows per slice of the CvM float64 tail: as many as fit
+    ``_CVM_TAIL_BYTES``."""
+    # per row: the float32 control counts and the float64 control and
+    # treatment means
+    return max(1, _CVM_TAIL_BYTES // (20 * max(1, n_cols)))
 
 
 def _cvm_contrast(matrix: np.ndarray, sizes, hits: np.ndarray, pooled_hits, width: int) -> np.ndarray:
@@ -288,12 +344,15 @@ def _cvm_contrast(matrix: np.ndarray, sizes, hits: np.ndarray, pooled_hits, widt
     ``_CVM_BLOCK_BYTES``, and each block's plan sizes are checked.  A
     block's S treatment masks are stacked into one (S * rows, N) float32
     matrix for a single product with ``hits``; the control counts are the
-    pooled counts minus the treatment counts.
+    pooled counts minus the treatment counts.  The float64 steps after the
+    product run in row slices that fit ``_CVM_TAIL_BYTES``, and a block's
+    arrays are freed before the next block's are built.
     """
     n_plans, n_paths = matrix.shape
     n_treat, n_cols = len(sizes) - 1, hits.shape[1]
     treatments = np.arange(1, len(sizes))[:, None, None]
     block = _cvm_block_rows(n_treat, n_paths, n_cols)
+    step = _cvm_tail_rows(n_cols)
     total = np.zeros(n_plans)
     for start in range(0, n_plans, block):
         rows = matrix[start:start + block]
@@ -306,16 +365,21 @@ def _cvm_contrast(matrix: np.ndarray, sizes, hits: np.ndarray, pooled_hits, widt
             raise ValueError("a plan does not respect the group sizes")
         counts = (masks.reshape(-1, n_paths) @ hits).reshape(n_treat, len(rows), n_cols)
         del masks
-        control = counts.sum(axis=0)
-        np.subtract(pooled_hits, control, out=control)
-        control = np.divide(control, sizes[0], dtype=np.float64)
-        part = total[start:start + block]
-        for s in range(1, len(sizes)):
-            contrast = np.divide(counts[s - 1], sizes[s], dtype=np.float64)
-            np.subtract(control, contrast, out=contrast)
-            np.square(contrast, out=contrast)
-            part += (sizes[0] + sizes[s]) * (contrast.sum(axis=1) / width)
-            del contrast  # free it before the next treatment's block is built
+        block_total = total[start:start + block]
+        for lo in range(0, len(rows), step):
+            treated = counts[:, lo:lo + step]
+            control = treated.sum(axis=0)
+            np.subtract(pooled_hits, control, out=control)
+            control = np.divide(control, sizes[0], dtype=np.float64)
+            part = block_total[lo:lo + step]
+            for s in range(1, len(sizes)):
+                contrast = np.divide(treated[s - 1], sizes[s], dtype=np.float64)
+                np.subtract(control, contrast, out=contrast)
+                np.square(contrast, out=contrast)
+                part += (sizes[0] + sizes[s]) * (contrast.sum(axis=1) / width)
+                del contrast  # free it before the next treatment's is built
+            del treated, control  # the view would keep the counts alive
+        del counts  # free them before the next block's masks are built
     return total
 
 
@@ -398,15 +462,8 @@ def permutation_statistics(
     matrix = _plan_matrix(plans, sizes)
     out: dict[str, np.ndarray] = {}
     if "cvm" in statistics:
-        below = indicator_matrix(pooled, draws.values)
-        pooled_count = np.count_nonzero(below, axis=0)
-        # a draw every path is below, or none is, has the same CDF in every
-        # group under every plan: it adds exactly 0 but still counts in L
-        varying = (pooled_count > 0) & (pooled_count < below.shape[0])
-        hits = below[:, varying].astype(np.float32)
-        del below
-        pooled_hits = pooled_count[varying].astype(np.float32)
-        out["cvm"] = _cvm_contrast(matrix, sizes, hits, pooled_hits, len(varying))
+        hits, pooled_hits = _cvm_hits(pooled, draws.values)
+        out["cvm"] = _cvm_contrast(matrix, sizes, hits, pooled_hits, len(draws.values))
     if set(statistics) != {"cvm"}:
         # whole (Q, N) masks; a call for no statistic only checks the plans
         masks = [matrix == s for s in range(len(sizes))]

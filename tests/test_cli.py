@@ -569,3 +569,6 @@ def test_directory_at_report_path_fails(tmp_path, capsys, command, name):
     assert run([command, *extra, "--out-dir", out]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {out / name}: ")
     assert (out / name).is_dir()
+    # every output path is checked before the first one is written, so a
+    # failed run leaves none of its files behind
+    assert [p.name for p in out.iterdir()] == [name]

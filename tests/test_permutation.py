@@ -7,16 +7,20 @@ import pytest
 
 from funcperm import (
     MeasureDraws,
+    MeasureSpec,
     PermutationDistribution,
+    TimeGrid,
     combine_tests,
     combined_p_value,
     critical_value,
     cvm_statistic_multi,
     decide,
+    draw_functions,
     energy_statistic,
     indicator_matrix,
     make_plans,
     mean_path_statistic_multi,
+    median_peak,
     number_of_assignments,
     p_value,
     permutation_distributions,
@@ -437,13 +441,19 @@ def _cvm_case(sizes, width, n_draws, q, seed):
     return pooled, draws, sampled_plan_matrix(sizes, q, seed=(seed, 2))
 
 
-def test_engine_cvm_blocks_match_one_call(monkeypatch):
-    # 50 plans in 7-row blocks (the last one short) against one block: the
-    # counts are exact integers and the float64 steps work row by row
+@pytest.mark.parametrize("block_rows, tail_rows", [(7, None), (None, 3), (7, 3), (12, 5)])
+def test_engine_cvm_blocks_match_one_call(monkeypatch, block_rows, tail_rows):
+    # 50 plans in blocks of rows (the last one short), each block's float64
+    # tail in slices of rows (the last one short), against one block in one
+    # slice: the counts are exact integers and the float64 steps work row
+    # by row
     sizes = (6, 5, 7, 4)
     pooled, draws, matrix = _cvm_case(sizes, 5, 40, 50, seed=21)
     whole = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
-    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: 7)
+    if block_rows:
+        monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: block_rows)
+    if tail_rows:
+        monkeypatch.setattr(stats_module, "_cvm_tail_rows", lambda n_cols: tail_rows)
     blocked = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
     assert blocked.tobytes() == whole.tobytes()
 
@@ -555,6 +565,33 @@ def test_engine_cvm_peak_memory_independent_of_q():
         finally:
             tracemalloc.stop()
     assert peaks[8000] <= 1.1 * peaks[2000]
+
+
+def test_engine_cvm_peak_memory_at_cohort_shape():
+    # N = 1492 paths in 5 groups, J = 48, L = 4000, Q = 500: about half the
+    # draws are informative, as in the application.  The step holds the
+    # float32 (N, L') hits and, besides them, at most one block of masks and
+    # counts and one slice of its float64 tail; it builds no (N, L) matrix
+    rng = np.random.default_rng(31)
+    sizes, width, n_draws, q = (304, 297, 297, 297, 297), 48, 4000, 500
+    n = sum(sizes)
+    noise = rng.normal(size=(n, width))
+    for t in range(1, width):
+        noise[:, t] = 0.4 * noise[:, t - 1] + math.sqrt(1.0 - 0.4**2) * noise[:, t]
+    angle = 2.0 * np.pi * np.arange(width) / width
+    pooled = 1.6 + 0.6 * np.sin(angle) + 0.3 * np.sin(2.0 * angle) + 0.5 * noise
+    spec = MeasureSpec(n_terms=19, mean_level=median_peak(pooled), seed=(31, 1))
+    draws = draw_functions(spec, TimeGrid.regular(width), n_draws)
+    hits_bytes = stats_module._cvm_hits(pooled, draws.values)[0].nbytes
+    assert 0.3 * n_draws < hits_bytes / (4 * n) < 0.7 * n_draws
+    matrix = sampled_plan_matrix(sizes, q, seed=(31, 2))
+    tracemalloc.start()
+    try:
+        permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * hits_bytes
 
 
 def _engine_peak_bytes(statistic, sizes, width, q) -> int:

@@ -149,6 +149,33 @@ def test_indicator_matrix_non_finite_paths_and_signed_zeros():
     assert mat[4].all() and not mat[2].any() and not mat[5].any()
 
 
+@pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 130])
+def test_cvm_hits_from_packed_words_equal_indicator_columns(n_paths):
+    # the CvM step counts and unpacks the packed words itself; its hits and
+    # pooled counts must be the informative columns of indicator_matrix and
+    # their sums, across word boundaries, with ties, NaN and +-inf paths
+    # and signed zeros
+    rng = np.random.default_rng(n_paths)
+    paths, zvals = _dyadic_case(n_paths, 3, seed=n_paths + 5)
+    special = [[np.nan, 0.0, 0.5], [np.inf, -0.0, 0.0], [-np.inf, 1.5, -np.inf]]
+    for i, row in enumerate(special):
+        paths[(17 * i) % n_paths] = row
+    # a draw below every path, and one above every path but the NaN and
+    # +inf ones
+    zvals = np.vstack([zvals, [[-5.0] * 3, [5.0] * 3]])
+    for values in (paths, zvals):
+        values[(values == 0) & (rng.random(values.shape) < 0.5)] = -0.0
+    below = indicator_matrix(paths, zvals)
+    count = below.sum(axis=0)
+    varying = (count > 0) & (count < n_paths)
+    hits, pooled_hits = stats._cvm_hits(paths, zvals)
+    assert hits.dtype == np.float32 and hits.flags.c_contiguous
+    assert np.array_equal(hits, below[:, varying].astype(np.float32))
+    assert pooled_hits.dtype == np.float32
+    assert np.array_equal(pooled_hits, count[varying].astype(np.float32))
+    assert 0 < varying.sum() < len(zvals) or n_paths == 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_indicator_matrix_rejects_non_finite_draws(bad):
     zvals = np.zeros((3, 2))
