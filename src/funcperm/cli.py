@@ -32,7 +32,7 @@ from . import local_power
 from .measure import COEFF_LAWS, MeasureSpec, draw_functions, median_peak
 from .permutation import DECISION_MODES, run_combined_test, sampled_plan_matrix
 from .samples import SampleFormatError, load_samples
-from .simulate import DESIGN_IDS, TEST_NAMES, run_power_study
+from .simulate import DESIGN_IDS, TEST_NAMES, run_study, study_config
 
 # the paper's names of the tests, next to their own
 _TEST_ALIASES = {"tau": "cvm", "eta": "combined", "sr": "energy", **{t: t for t in TEST_NAMES}}
@@ -264,6 +264,7 @@ def cmd_test(cfg: argparse.Namespace) -> int:
         raise ValueError(f"cannot read {cfg.input}: {err}") from err
     if sample.n_groups < 2:
         raise ValueError("the test needs at least two groups")
+    out_dir = _out_dir(cfg.out_dir)
 
     mean_level = median_peak(sample) if cfg.mu1 == "auto" else float(cfg.mu1)
     spec = MeasureSpec(
@@ -279,7 +280,6 @@ def cmd_test(cfg: argparse.Namespace) -> int:
     )
 
     label = f"({cfg.alpha_tau:g}, {cfg.alpha_nu:g})"
-    out_dir = _out_dir(cfg.out_dir)
     report = {
         "command": "test",
         "input": str(cfg.input),
@@ -346,7 +346,7 @@ def _result_dict(res) -> dict:
 
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
-    table = run_power_study(
+    config = study_config(
         designs=cfg.designs,
         tests=cfg.tests,
         reps=cfg.reps,
@@ -361,9 +361,9 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         seed=cfg.seed,
         shift_scale=cfg.shift_scale,
         mode=cfg.mode,
-        threads=cfg.threads,
     )
     out_dir = _out_dir(cfg.out_dir)
+    table = run_study(config, cfg.threads)
     _write(out_dir, {
         "power_table.csv": table.to_csv_text(),
         "power_config.json": json.dumps(asdict(table.config), indent=2) + "\n",

@@ -32,6 +32,27 @@ class SampleFormatError(ValueError):
     """An input stream violates the sample CSV contract."""
 
 
+# A message about non-contiguous group ids lists at most this many of the
+# missing ones.
+_LISTED_MISSING = 10
+
+
+def _missing_groups(labels: np.ndarray) -> tuple[list[int], int]:
+    """The first ``_LISTED_MISSING`` group ids below the largest label that
+    no label takes, and how many such ids there are.
+
+    ``labels`` are nonnegative integers.  The ids come from the sorted
+    distinct labels, so the cost does not grow with the largest label.
+    """
+    ids = np.unique(labels).tolist()
+    listed: list[int] = []
+    below = 0
+    for group in ids:
+        listed.extend(range(below, min(group, below + _LISTED_MISSING - len(listed))))
+        below = group + 1
+    return listed, below - len(ids)
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     out = np.array(array)
     out.flags.writeable = False
@@ -78,7 +99,7 @@ class FunctionalSample:
 
     def __post_init__(self) -> None:
         paths = np.asarray(self.paths, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if paths.ndim != 2:
             raise ValueError("paths must be a 2-d matrix")
         if labels.shape != (paths.shape[0],):
@@ -92,10 +113,12 @@ class FunctionalSample:
             )
         if not np.all(np.isfinite(paths)):
             raise ValueError("paths contain non-finite values")
+        if labels.dtype.kind not in "biu":
+            raise ValueError("group ids must be integers")
+        labels = labels.astype(int, copy=False)
         if labels.min() < 0:
             raise ValueError("group ids must be nonnegative")
-        sizes = np.bincount(labels)
-        if np.any(sizes == 0):
+        if _missing_groups(labels)[1]:
             raise ValueError("non-contiguous group ids")
         object.__setattr__(self, "paths", _frozen(paths))
         object.__setattr__(self, "labels", _frozen(labels))
@@ -198,6 +221,8 @@ def load_samples(source: Source) -> FunctionalSample:
             ) from None
         if group < 0:
             raise SampleFormatError(f"negative group id at row {row_no}")
+        if group > np.iinfo(np.int64).max:
+            raise SampleFormatError(f"group id beyond the int64 range at row {row_no}")
         # One float() pass and one finiteness test per row; a row that
         # fails either is rescanned token by token to locate the fault.
         try:
@@ -212,12 +237,12 @@ def load_samples(source: Source) -> FunctionalSample:
     if not rows:
         raise SampleFormatError("empty input: no data rows")
 
-    label_arr = np.asarray(labels)
-    present = np.bincount(label_arr)
-    if np.any(present == 0):
-        missing = [str(s) for s in np.flatnonzero(present == 0)]
+    label_arr = np.asarray(labels, dtype=np.int64)
+    listed, n_missing = _missing_groups(label_arr)
+    if n_missing:
+        more = f" and {n_missing - len(listed)} more" if n_missing > len(listed) else ""
         raise SampleFormatError(
-            f"non-contiguous group ids: no rows for group(s) {', '.join(missing)}"
+            f"non-contiguous group ids: no rows for group(s) {', '.join(map(str, listed))}{more}"
         )
     grid = TimeGrid.regular(n_times)
     return FunctionalSample(np.asarray(rows, dtype=float), label_arr, grid)

@@ -256,6 +256,10 @@ class StudyConfig:
             raise ValueError("levels must be positive")
         if not alpha_cvm + alpha_mean < 1:
             raise ValueError("levels must sum to less than one")
+        # the designs' own checks, before any replication
+        baseline = synthetic_baseline(self.horizon)
+        for design_id in self.designs:
+            apply_design(design_id, baseline, self.group_sizes, self.shift_scale)
 
 
 @dataclass(frozen=True)
@@ -345,7 +349,7 @@ def run_replication(config: StudyConfig, design: DesignSpec, rep: int) -> dict[s
     return out
 
 
-def run_power_study(
+def study_config(
     designs: Sequence[int],
     tests: Sequence[str] = TEST_NAMES,
     reps: int = 300,
@@ -360,19 +364,15 @@ def run_power_study(
     seed: Seed = 0,
     shift_scale: float = 1.0,
     mode: str = "randomized",
-    threads: int = 1,
-) -> PowerTable:
-    """Empirical rejection probabilities over designs and tests.
+) -> StudyConfig:
+    """The checked settings of a power study, for :func:`run_study`.
 
     Each requested test runs at total level ``sum(alpha_split)``; the
-    combined test splits that total as given.  ``threads`` > 1 distributes
-    replications across processes without changing any output.
+    combined test splits that total as given.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads!r}")
     # tuples and plain numbers, so that the settings echo reads the same
     # whatever sequence and number types the caller passed
-    config = StudyConfig(
+    return StudyConfig(
         designs=tuple(int(d) for d in designs), tests=tuple(tests), reps=int(reps),
         n_perms=int(n_perms), alpha_split=(float(alpha_split[0]), float(alpha_split[1])),
         n_terms=int(n_terms), n_draws=int(n_draws), coeff_law=coeff_law, mean_level=mean_level,
@@ -380,6 +380,16 @@ def run_power_study(
         seed=seed if isinstance(seed, int) else tuple(seed), shift_scale=float(shift_scale),
         mode=mode,
     )
+
+
+def run_study(config: StudyConfig, threads: int = 1) -> PowerTable:
+    """Empirical rejection probabilities over the study's designs and tests.
+
+    ``threads`` > 1 distributes replications across processes without
+    changing any output.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads!r}")
     baseline = synthetic_baseline(config.horizon)
     specs = [
         apply_design(d, baseline, config.group_sizes, config.shift_scale) for d in config.designs
@@ -401,3 +411,8 @@ def run_power_study(
             std_error = float(np.sqrt(rate * (1.0 - rate) / config.reps))
             rows.append(PowerRow(test, design_id, rate, std_error))
     return PowerTable(tuple(rows), config)
+
+
+def run_power_study(*settings, threads: int = 1, **named) -> PowerTable:
+    """:func:`run_study` of the :func:`study_config` of these settings."""
+    return run_study(study_config(*settings, **named), threads)

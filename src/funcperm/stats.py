@@ -3,7 +3,11 @@
 This module owns every statistic, for one plan or many:
 :func:`permutation_statistics` evaluates them under a whole matrix of
 group assignments at once, and the standalone functions are that engine
-run on the single identity assignment, so each standalone value is plan 0.
+run on the single identity assignment.  So a standalone value equals
+plan 0 of a one-plan call.  A cvm value also equals plan 0 of any call;
+a mean_path or energy value may differ from plan 0 of a many-plan call
+in the last bits, since a float64 product's rounding can depend on its
+number of rows.
 
 Three statistics, all nonnegative and zero when the compared groups are
 indistinguishable:
@@ -32,22 +36,28 @@ Numerical contract:
 * draws whose pooled count is 0 or N are the same for every group under
   every plan, so they add exactly 0 and are dropped before the group
   counts; the average still divides by all L draws;
-* group counts are float32 0/1 masks times float32 indicator columns;
-  every partial sum is an integer at most N < 2**24, so the counts are
-  exact whatever the summation order or thread count, and they become
-  float64 before the division by the group size (N above 2**24 is
-  rejected);
+* group counts are float32 mask words times float32 indicator columns.
+  A word carries two treatments, as mask_a + B mask_b with B the
+  smallest power of two above every treatment size, while B <= 4096;
+  otherwise, or for one treatment, it carries one.  Every partial sum is
+  an integer at most B**2 - 1 < 2**24 (or N < 2**24), so the word counts
+  are exact whatever the summation order or thread count, and dividing
+  by B splits them exactly into c_b (integer part) and c_a (fraction).
+  The counts become float64 before the division by the group size (N
+  above 2**24 is rejected);
 * the CvM step reduces the plans in fixed blocks of rows: per block, one
-  product gives every treatment's counts and the control counts are the
-  pooled counts minus their sum.  Both are exact integers.  The float64
-  steps after them (divide, subtract, square, row sums) run in row slices
-  of the block and work row by row, so a plan's cvm value depends neither
-  on its block nor on its slice.  Besides the 4 N L' bytes of ``hits``,
-  the step holds one block's masks and counts (``_CVM_BLOCK_BYTES``) and
-  one slice's tail (``_CVM_TAIL_BYTES``) at a time, or one row where a
-  row needs more, so its memory does not grow with Q.  mean_path and
-  energy take every plan in one float64 product, whose rounding can
-  depend on how many rows the product has;
+  product gives every mask word's counts, which are split into the
+  treatments' counts, and the control counts are the pooled counts minus
+  their sum.  All are exact integers.  The float64 steps after them
+  (divide, subtract, square, row sums) run in row slices of the block and
+  work row by row, so a plan's cvm value depends neither on its block,
+  its slice nor the word layout.  Besides the 4 N L' bytes of ``hits``,
+  the step holds one block's buffers (``_CVM_BLOCK_BYTES``), allocated
+  once and reused by every block, and one slice's tail
+  (``_CVM_TAIL_BYTES``), or one row where a row needs more, so its
+  memory does not grow with Q.  mean_path and energy take every plan in
+  one float64 product, whose rounding can depend on how many rows the
+  product has;
 * the remaining reductions use numpy's pairwise summation, so
   recomputing any statistic on the same inputs is bit-identical, and
   mathematically equivalent summation orders agree to better than 1e-12
@@ -76,8 +86,9 @@ _MAX_EXACT_COUNT = 1 << 24
 _INDICATOR_BLOCK_BYTES = 1 << 20
 
 # Bytes that the CvM step may hold for one block of plan rows: its float32
-# treatment masks and counts.
-_CVM_BLOCK_BYTES = 1 << 23
+# mask words and counts and its bool label test.  The buffers live through
+# the block's tail, so with _CVM_TAIL_BYTES this makes 8 MiB.
+_CVM_BLOCK_BYTES = 7 << 20
 
 # Bytes that the CvM step may hold for one slice of a block's rows in its
 # float64 tail: the control counts and the control and treatment means.
@@ -233,8 +244,8 @@ def cvm_statistic_multi(groups: Sequence[np.ndarray], draws: MeasureDraws) -> fl
     """Summed CDF-distance terms, control (group 0) versus each treatment.
 
     Each term is (n_0 + n_s) times the average over draws of the squared
-    difference of the two empirical CDFs.  The value is plan 0 of
-    :func:`permutation_statistics`, so recomputation is bit-identical.
+    difference of the two empirical CDFs.  The value is plan 0 of any
+    :func:`permutation_statistics` call, so recomputation is bit-identical.
     """
     return _identity_plan_statistic("cvm", groups, draws)
 
@@ -249,7 +260,8 @@ def mean_path_statistic_multi(groups: Sequence[np.ndarray]) -> float:
 
     Each term is (n_0 + n_s) times the average over grid points of the
     squared difference of the group mean paths.  The value is plan 0 of
-    :func:`permutation_statistics`.
+    a one-plan :func:`permutation_statistics` call; plan 0 of a many-plan
+    call may differ in the last bits.
     """
     return _identity_plan_statistic("mean_path", groups)
 
@@ -284,7 +296,8 @@ def energy_statistic(groups: Sequence[np.ndarray]) -> float:
     For each treatment s the term is n_0 n_s / (n_0 + n_s) times
     2 E||X_0 - X_s|| - E||X_0 - X_0'|| - E||X_s - X_s'||, with all-pairs
     averages (diagonal included) over the observed paths.  The value is
-    plan 0 of :func:`permutation_statistics`.
+    plan 0 of a one-plan :func:`permutation_statistics` call; plan 0 of a
+    many-plan call may differ in the last bits.
     """
     return _identity_plan_statistic("energy", groups)
 
@@ -319,11 +332,28 @@ def _cvm_hits(pooled: np.ndarray, zvalues) -> tuple[np.ndarray, np.ndarray]:
     return hits, pooled_count[varying].astype(np.float32)
 
 
-def _cvm_block_rows(n_treat: int, n_paths: int, n_cols: int) -> int:
-    """Plan rows per CvM block: as many as fit ``_CVM_BLOCK_BYTES``."""
-    # per row: the float32 treatment masks, the bool control-mask test and
-    # the float32 treatment counts
-    row_bytes = 4 * n_treat * n_paths + n_paths + 4 * n_treat * n_cols
+def _cvm_base(sizes) -> int:
+    """Weight B of the second treatment in a CvM mask word, or 0 if each
+    word carries one treatment.
+
+    Two treatments a and b share a float32 word as mask_a + B mask_b, B
+    the smallest power of two above every treatment size.  A count
+    c_a + B c_b of such a word is at most B**2 - 1, which is exact in
+    float32 for any summation order while B <= 4096, and the power of two
+    splits it back exactly.
+    """
+    base = 1 << max(sizes[1:]).bit_length()
+    return base if base * base <= _MAX_EXACT_COUNT else 0
+
+
+def _cvm_block_rows(n_treat: int, n_paths: int, n_cols: int, n_words: int | None = None) -> int:
+    """Plan rows per CvM block: as many as fit ``_CVM_BLOCK_BYTES``, with
+    ``n_words`` mask words per row (by default two treatments to a word)."""
+    if n_words is None:
+        n_words = -(-n_treat // 2)
+    # per row: the float32 mask words, the bool label test and the float32
+    # treatment counts (the product fills their leading planes)
+    row_bytes = 4 * n_words * n_paths + n_paths + 4 * n_treat * n_cols
     return max(1, _CVM_BLOCK_BYTES // row_bytes)
 
 
@@ -342,32 +372,58 @@ def _cvm_contrast(matrix: np.ndarray, sizes, hits: np.ndarray, pooled_hits, widt
     ``pooled_hits`` its column sums; ``width`` counts every draw and
     divides the average.  Plans are taken in blocks of rows that fit
     ``_CVM_BLOCK_BYTES``, and each block's plan sizes are checked.  A
-    block's S treatment masks are stacked into one (S * rows, N) float32
-    matrix for a single product with ``hits``; the control counts are the
-    pooled counts minus the treatment counts.  The float64 steps after the
-    product run in row slices that fit ``_CVM_TAIL_BYTES``, and a block's
-    arrays are freed before the next block's are built.
+    block's treatment masks are packed into float32 words, two treatments
+    to a word where :func:`_cvm_base` allows, for a single product with
+    ``hits``; the counts are split back out of the words exactly, and the
+    control counts are the pooled counts minus the treatment counts.  The
+    float64 steps after the product run in row slices that fit
+    ``_CVM_TAIL_BYTES``.  The block's buffers are allocated once, for the
+    first block, and reused by every later one.
     """
     n_plans, n_paths = matrix.shape
     n_treat, n_cols = len(sizes) - 1, hits.shape[1]
-    treatments = np.arange(1, len(sizes))[:, None, None]
-    block = _cvm_block_rows(n_treat, n_paths, n_cols)
+    base = _cvm_base(sizes)
+    n_words = -(-n_treat // 2) if base else n_treat
+    # treatments 1..n_words take weight 1 in words 0..n_words - 1; the rest
+    # take weight B in words 0..n_high - 1, the mixed words
+    n_high = n_treat - n_words
+    block = max(1, min(n_plans, _cvm_block_rows(n_treat, n_paths, n_cols, n_words)))
     step = _cvm_tail_rows(n_cols)
+    packed = np.empty(n_words * block * n_paths, dtype=np.float32)
+    label = np.empty(block * n_paths, dtype=np.bool_)
+    buffer = np.empty(n_treat * block * n_cols, dtype=np.float32)
     total = np.zeros(n_plans)
     for start in range(0, n_plans, block):
         rows = matrix[start:start + block]
-        masks = np.empty((n_treat,) + rows.shape, dtype=np.float32)
-        np.equal(rows, treatments, out=masks)
-        if not (
-            np.all(np.count_nonzero(rows == 0, axis=1) == sizes[0])
-            and np.all(masks.sum(axis=2) == np.array(sizes[1:])[:, None])
-        ):
-            raise ValueError("a plan does not respect the group sizes")
-        counts = (masks.reshape(-1, n_paths) @ hits).reshape(n_treat, len(rows), n_cols)
-        del masks
+        n_rows = len(rows)
+        words = packed[:n_words * n_rows * n_paths].reshape(n_words, n_rows, n_paths)
+        test = label[:n_rows * n_paths].reshape(n_rows, n_paths)
+        # weight-B treatments first, so that they set the mixed words
+        for s in (0,) + tuple(range(n_treat, 0, -1)):
+            np.equal(rows, s, out=test)
+            if not np.all(np.count_nonzero(test, axis=1) == sizes[s]):
+                raise ValueError("a plan does not respect the group sizes")
+            if s > n_words:
+                np.multiply(test, np.float32(base), out=words[s - 1 - n_words])
+            elif s > n_high:
+                np.copyto(words[s - 1], test)
+            elif s:
+                np.add(words[s - 1], test, out=words[s - 1])
+        # the product fills the leading n_words planes of the counts
+        counts = buffer[:n_treat * n_rows * n_cols].reshape(n_treat, n_rows, n_cols)
+        product = counts[:n_words].reshape(n_words * n_rows, n_cols)
+        np.matmul(words.reshape(n_words * n_rows, n_paths), hits, out=product)
         block_total = total[start:start + block]
-        for lo in range(0, len(rows), step):
+        for lo in range(0, n_rows, step):
             treated = counts[:, lo:lo + step]
+            if n_high:
+                # a mixed word's x = c_a + B c_b: x / B has integer part c_b
+                # and fraction c_a / B, each step exact
+                mixed, high = treated[:n_high], treated[n_words:]
+                np.multiply(mixed, np.float32(1 / base), out=mixed)
+                np.floor(mixed, out=high)
+                np.subtract(mixed, high, out=mixed)
+                np.multiply(mixed, np.float32(base), out=mixed)
             control = treated.sum(axis=0)
             np.subtract(pooled_hits, control, out=control)
             control = np.divide(control, sizes[0], dtype=np.float64)
@@ -378,8 +434,6 @@ def _cvm_contrast(matrix: np.ndarray, sizes, hits: np.ndarray, pooled_hits, widt
                 np.square(contrast, out=contrast)
                 part += (sizes[0] + sizes[s]) * (contrast.sum(axis=1) / width)
                 del contrast  # free it before the next treatment's is built
-            del treated, control  # the view would keep the counts alive
-        del counts  # free them before the next block's masks are built
     return total
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import funcperm as fp
+from funcperm import cli, simulate
 from funcperm.cli import main
 
 
@@ -109,6 +110,15 @@ def test_single_group_rejected(tmp_path, capsys):
     code = run(["test", "--input", csv_path, "--out-dir", tmp_path / "o"])
     assert code != 0
     capsys.readouterr()
+
+
+def test_huge_group_id_fails_with_exit_two(tmp_path, capsys):
+    csv_path = tmp_path / "huge.csv"
+    write_csv(csv_path, [0, 1, 2**40], np.zeros((3, 2)))
+    out = tmp_path / "o"
+    assert run(["test", "--input", csv_path, "--out-dir", out]) == 2
+    assert "non-contiguous group ids" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_alpha_rejected(tmp_path, capsys):
@@ -498,6 +508,23 @@ def test_unwritable_out_dir_fails(tmp_path, capsys, command):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(blocker) in err
+
+
+@pytest.mark.parametrize("command", ["test", "simulate"])
+def test_out_dir_under_a_file_fails_before_the_computation(tmp_path, capsys, monkeypatch, command):
+    # simulate runs its default study, 10 designs x 300 replications, unless
+    # the output directory is made first
+    def no_computation(*args, **kwargs):
+        raise AssertionError("the computation ran")
+
+    monkeypatch.setattr(cli, "run_combined_test", no_computation)
+    monkeypatch.setattr(simulate, "run_replication", no_computation)
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    extra = ["--input", two_group_csv(tmp_path)] if command == "test" else []
+    assert run([command, *extra, "--out-dir", blocker / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory ") and str(blocker) in err
 
 
 @pytest.mark.parametrize("command, flags, line, name", [

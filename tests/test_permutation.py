@@ -485,6 +485,96 @@ def test_engine_cvm_without_informative_draws_is_zero():
     assert out.tolist() == [0.0] * 9
 
 
+def _cvm_integer_oracle(pooled, sizes, matrix, draws):
+    """cvm per plan from int64 group counts, with the engine's float64 steps
+    in the engine's order, so a layout that counts exactly matches it
+    bit for bit."""
+    ind = indicator_matrix(pooled, draws.values)
+    pooled_count = ind.sum(axis=0)
+    ind = ind[:, (pooled_count > 0) & (pooled_count < len(pooled))].astype(np.int64)
+    control = ((matrix == 0).astype(np.int64) @ ind) / sizes[0]
+    total = np.zeros(len(matrix))
+    for s in range(1, len(sizes)):
+        contrast = control - ((matrix == s).astype(np.int64) @ ind) / sizes[s]
+        total += (sizes[0] + sizes[s]) * ((contrast**2).sum(axis=1) / len(draws.values))
+    return total
+
+
+def _cvm_both_layouts(monkeypatch, pooled, sizes, matrix, draws):
+    """cvm as the engine packs it, and with one treatment per mask word."""
+    packed = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
+    with monkeypatch.context() as m:
+        m.setattr(stats_module, "_cvm_base", lambda sizes: 0)
+        single = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
+    return packed, single
+
+
+@pytest.mark.parametrize("sizes, base", [
+    ((5, 7), 8),
+    ((5, 4, 6), 8),
+    ((5, 4, 6, 3), 8),
+    ((4, 3, 5, 2), 8),
+    ((4, 3, 5, 2, 6, 3), 8),
+    ((6, 9, 3, 16, 2), 32),
+])
+def test_engine_cvm_packed_words_match_one_treatment_per_word(monkeypatch, sizes, base):
+    # one to five treatments: the last word of an odd count carries one
+    assert stats_module._cvm_base(sizes) == base
+    pooled, draws, matrix = _cvm_case(sizes, 4, 60, 40, seed=24)
+    packed, single = _cvm_both_layouts(monkeypatch, pooled, sizes, matrix, draws)
+    assert packed.tobytes() == single.tobytes()
+    assert packed.tobytes() == _cvm_integer_oracle(pooled, sizes, matrix, draws).tobytes()
+
+
+def _two_large_treatments(sizes, q):
+    """Width-one paths: control paths above 9, treatment paths in [0, 1),
+    and draws between them, so under the identity plan the last draw lies
+    above every treatment path and below every control path."""
+    rng = np.random.default_rng(25)
+    pooled = rng.uniform(size=(sum(sizes), 1))
+    pooled[:sizes[0]] += 9.0
+    draws = MeasureDraws(values=np.array([[0.25], [0.5], [0.75], [5.0]]))
+    return pooled, draws, sampled_plan_matrix(sizes, q, seed=(25, 2))
+
+
+@pytest.mark.parametrize("sizes, base", [((2, 4095, 4095), 4096), ((2, 4096, 4096), 0)])
+def test_engine_cvm_packing_at_the_float32_limit(monkeypatch, sizes, base):
+    # treatments of 4095 paths take B = 4096, and the identity plan's word
+    # count at the last draw is 4095 + 4096 * 4095 = 2**24 - 1; a treatment
+    # of 4096 paths leaves one treatment per word
+    assert stats_module._cvm_base(sizes) == base
+    pooled, draws, matrix = _two_large_treatments(sizes, 6)
+    if base:
+        word = (matrix[0] == 1) + base * (matrix[0] == 2)
+        assert int(word @ (pooled[:, 0] <= 5.0)) == 2**24 - 1
+    packed, single = _cvm_both_layouts(monkeypatch, pooled, sizes, matrix, draws)
+    assert packed.tobytes() == single.tobytes()
+    assert packed.tobytes() == _cvm_integer_oracle(pooled, sizes, matrix, draws).tobytes()
+
+
+def test_engine_cvm_packed_words_without_informative_draws(monkeypatch):
+    # L' = 0: the product has no columns, in either layout
+    sizes = (3, 4, 2, 5)
+    pooled, _, matrix = _cvm_case(sizes, 3, 1, 9, seed=26)
+    draws = MeasureDraws(values=np.full((5, 3), pooled.max() + 1.0))
+    packed, single = _cvm_both_layouts(monkeypatch, pooled, sizes, matrix, draws)
+    assert packed.tolist() == single.tolist() == [0.0] * 9
+
+
+def test_engine_cvm_packed_repeated_identity_in_later_blocks(monkeypatch):
+    # 3-row blocks reuse the first block's buffers; the identity repeated in
+    # the second, third and last (short) block keeps plan 0's bits
+    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: 3)
+    sizes = (5, 4, 6, 3)
+    pooled, draws, matrix = _cvm_case(sizes, 4, 60, 10, seed=27)
+    repeats = [4, 8, 9]
+    matrix = matrix.copy()
+    matrix[repeats] = matrix[0]
+    packed, single = _cvm_both_layouts(monkeypatch, pooled, sizes, matrix, draws)
+    assert packed.tobytes() == single.tobytes()
+    assert all(packed[row] == packed[0] for row in repeats)
+
+
 def _with_constant_draws(zvals, pooled):
     """Append draws above every path and below every path: each has the
     same pooled count (N or 0) under every plan."""

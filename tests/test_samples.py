@@ -144,6 +144,33 @@ def test_validation_of_direct_construction():
         FunctionalSample(np.zeros((2, 3)), [0, 1], grid)
 
 
+def test_huge_group_id_lists_a_capped_few_missing_groups():
+    # an id of 2**40 must not cost 2**40 counts
+    bad = b"id,group,t1\n1,0,0.5\n2,1099511627776,1.0\n"
+    with pytest.raises(SampleFormatError) as err:
+        load_samples(bad)
+    assert str(err.value) == (
+        "non-contiguous group ids: no rows for group(s) "
+        "1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 1099511627765 more"
+    )
+
+
+def test_group_id_beyond_int64_rejected():
+    bad = b"id,group,t1\n1,0,0.5\n2,99999999999999999999,1.0\n"
+    with pytest.raises(SampleFormatError, match=r"^group id beyond the int64 range at row 3$"):
+        load_samples(bad)
+
+
+def test_direct_construction_with_a_huge_group_id_rejected():
+    with pytest.raises(ValueError, match="non-contiguous"):
+        FunctionalSample(np.zeros((2, 2)), [0, 2**40], TimeGrid.regular(2))
+
+
+def test_direct_construction_with_fractional_labels_rejected():
+    with pytest.raises(ValueError, match="group ids must be integers"):
+        FunctionalSample(np.zeros((3, 2)), [0, 0.7, 1.2], TimeGrid.regular(2))
+
+
 def test_time_grid_invariants():
     assert TimeGrid.regular(4).horizon == 4
     with pytest.raises(ValueError, match="strictly increasing"):
