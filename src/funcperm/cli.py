@@ -32,7 +32,7 @@ from . import local_power
 from .measure import COEFF_LAWS, MeasureSpec, draw_functions, median_peak
 from .permutation import DECISION_MODES, run_combined_test, sampled_plan_matrix
 from .samples import SampleFormatError, load_samples
-from .simulate import DESIGN_IDS, TEST_NAMES, run_study, study_config
+from .simulate import DESIGN_IDS, TEST_NAMES, StudyConfig, run_study
 
 # the paper's names of the tests, next to their own
 _TEST_ALIASES = {"tau": "cvm", "eta": "combined", "sr": "energy", **{t: t for t in TEST_NAMES}}
@@ -346,7 +346,7 @@ def _result_dict(res) -> dict:
 
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
-    config = study_config(
+    config = StudyConfig(
         designs=cfg.designs,
         tests=cfg.tests,
         reps=cfg.reps,
@@ -357,7 +357,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         n_terms=cfg.K,
         n_draws=cfg.L,
         coeff_law=cfg.coeff_law,
-        mean_level="auto" if cfg.mu1 == "auto" else float(cfg.mu1),
+        mean_level=cfg.mu1,
         seed=cfg.seed,
         shift_scale=cfg.shift_scale,
         mode=cfg.mode,

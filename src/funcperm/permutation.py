@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +31,7 @@ import numpy as np
 from .measure import MeasureDraws
 from .rng import Seed, substream
 from .samples import pooled_by_group
-from .stats import permutation_statistics
+from .stats import _identity_assignment, _plan_matrix, permutation_statistics
 
 DECISION_MODES = ("randomized", "conservative")
 
@@ -111,30 +112,8 @@ def number_of_assignments(group_sizes: Sequence[int]) -> int:
     return total
 
 
-def _identity_assignment(group_sizes: Sequence[int]) -> np.ndarray:
-    return np.repeat(np.arange(len(group_sizes), dtype=np.int8), group_sizes)
-
-
-def _enumerate_assignments(group_sizes: Sequence[int]):
-    """All distinct assignments in lexicographic order (identity first)."""
-    n_total = sum(group_sizes)
-    assignment = np.empty(n_total, dtype=np.int8)
-
-    def recurse(free: tuple[int, ...], group: int):
-        if group == len(group_sizes) - 1:
-            assignment[list(free)] = group
-            yield assignment.copy()
-            return
-        for combo in itertools.combinations(free, group_sizes[group]):
-            assignment[list(combo)] = group
-            taken = set(combo)
-            yield from recurse(tuple(p for p in free if p not in taken), group + 1)
-
-    yield from recurse(tuple(range(n_total)), 0)
-
-
 def _checked_sizes(group_sizes: Sequence[int]) -> tuple[int, ...]:
-    sizes = tuple(int(n) for n in group_sizes)
+    sizes = tuple(operator.index(n) for n in group_sizes)
     if len(sizes) < 2:
         raise ValueError("need at least two groups to permute")
     if any(n < 1 for n in sizes):
@@ -142,6 +121,23 @@ def _checked_sizes(group_sizes: Sequence[int]) -> tuple[int, ...]:
     if len(sizes) > 127:
         raise ValueError("more than 127 groups is unsupported")
     return sizes
+
+
+def _all_assignments(sizes: tuple[int, ...]) -> np.ndarray:
+    """(Q, N) int8 matrix of every distinct assignment, identity first: group
+    0's position sets in lexicographic order, then the rest's, recursively."""
+    n_total = sum(sizes)
+    if len(sizes) == 1:
+        return np.zeros((1, n_total), dtype=np.int8)
+    rest = _all_assignments(sizes[1:]) + 1
+    chosen = np.fromiter(
+        itertools.combinations(range(n_total), sizes[0]), dtype=np.dtype((np.intp, sizes[0]))
+    )
+    free = np.ones((len(chosen), n_total), dtype=bool)
+    np.put_along_axis(free, chosen, False, axis=1)
+    plans = np.zeros((len(chosen) * len(rest), n_total), dtype=np.int8)
+    plans[np.repeat(free, len(rest), axis=0)] = np.tile(rest, (len(chosen), 1)).ravel()
+    return plans
 
 
 def sampled_plan_matrix(group_sizes: Sequence[int], count: int, seed: Seed) -> np.ndarray:
@@ -158,7 +154,7 @@ def sampled_plan_matrix(group_sizes: Sequence[int], count: int, seed: Seed) -> n
         raise ValueError("sampled mode needs a positive plan count")
     if seed is None:
         raise ValueError("sampled mode needs an explicit seed")
-    matrix = np.tile(_identity_assignment(sizes), (count, 1))
+    matrix = np.tile(_identity_assignment(sizes).astype(np.int8), (count, 1))
     substream(seed).permuted(matrix[1:], axis=1, out=matrix[1:])
     matrix.flags.writeable = False
     return matrix
@@ -173,27 +169,30 @@ def make_plans(
 ) -> list[PermutationPlan]:
     """Build the plan list the permutation engine iterates.
 
-    ``exhaustive`` enumerates every distinct assignment exactly once
-    (error when the count exceeds ``cap``); ``sampled`` wraps the rows of
-    :func:`sampled_plan_matrix` as read-only views.  The engine also takes
-    that matrix directly.
+    Both modes build one read-only (Q, N) int8 matrix, identity first,
+    and wrap its rows, read-only views, as plans; the engine also takes
+    such a matrix directly.  ``sampled`` is :func:`sampled_plan_matrix`.
+    ``exhaustive`` holds every distinct assignment exactly once (error
+    when the count exceeds ``cap``) and takes no ``count`` or ``seed``.
+    The plan objects remain for callers that iterate them.
     """
     if mode == "sampled":
         matrix = sampled_plan_matrix(group_sizes, count, seed)
-        return [PermutationPlan(row, q) for q, row in enumerate(matrix)]
-    sizes = _checked_sizes(group_sizes)
-    if mode == "exhaustive":
+    elif mode == "exhaustive":
+        if count is not None or seed is not None:
+            raise ValueError("exhaustive mode takes no plan count or seed")
+        sizes = _checked_sizes(group_sizes)
         total = number_of_assignments(sizes)
         if total > cap:
             raise ValueError(
                 f"exhaustive mode would enumerate {total} assignments, "
                 f"above the cap of {cap}; use sampled mode"
             )
-        return [
-            PermutationPlan(assignment, index)
-            for index, assignment in enumerate(_enumerate_assignments(sizes))
-        ]
-    raise ValueError(f"unknown plan mode {mode!r}")
+        matrix = _all_assignments(sizes)
+        matrix.flags.writeable = False
+    else:
+        raise ValueError(f"unknown plan mode {mode!r}")
+    return [PermutationPlan(row, q) for q, row in enumerate(matrix)]
 
 
 def permutation_distributions(
@@ -241,12 +240,14 @@ def decide(
     """Apply the (possibly randomized) decision rule at level ``alpha``.
 
     ``observed`` must be the identity plan's statistic, i.e.
-    ``dist.observed``.  In randomized mode a tie with the critical value
-    rejects with probability a (drawn from ``rng``); conservative mode
-    never rejects on a tie.
+    ``dist.observed``, so it is finite.  In randomized mode a tie with
+    the critical value rejects with probability a (drawn from ``rng``);
+    conservative mode never rejects on a tie.
     """
     if mode not in DECISION_MODES:
         raise ValueError(f"unknown decision mode {mode!r}")
+    if not math.isfinite(observed):
+        raise ValueError(f"the observed statistic must be finite, got {observed!r}")
     threshold = critical_value(dist, alpha)  # validates alpha
     stats = dist.stats
     if observed > threshold:
@@ -330,9 +331,13 @@ def run_combined_test(
     """Run the CDF-distance and mean-path tests on shared plans and combine.
 
     Sharing one plan set between the two component tests halves the cost
-    and leaves each component's marginal exactness untouched.
+    and leaves each component's marginal exactness untouched.  Each test
+    decides on plan 0's statistic, so plan 0 must be the identity.
     """
     pooled, sizes = pooled_by_group(sample)
+    plans = _plan_matrix(plans, sizes)
+    if not np.array_equal(plans[:1], _identity_assignment(sizes)[None]):
+        raise ValueError("plan 0 must be the identity assignment")
     dists = permutation_distributions(
         pooled, sizes, plans, ("cvm", "mean_path"), draws
     )

@@ -18,6 +18,7 @@ its entropy pool up with zeros, so ``SeedSequence([5, 1])`` and
 
 from __future__ import annotations
 
+import operator
 from typing import Union
 
 import numpy as np
@@ -26,9 +27,13 @@ Seed = Union[int, tuple]
 
 
 def seed_entropy(seed: Seed, *key: int) -> tuple[int, ...]:
-    """Flatten ``seed`` and an integer key path into SeedSequence entropy."""
-    parts = (seed,) if isinstance(seed, int) else tuple(seed)
-    entropy = tuple(int(p) for p in parts) + tuple(int(k) for k in key)
+    """Flatten ``seed`` and an integer key path into SeedSequence entropy.
+
+    Every component must be an integer; a float or a string raises
+    TypeError rather than being truncated or parsed into another key.
+    """
+    parts = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
+    entropy = tuple(operator.index(p) for p in (*parts, *key))
     if any(p < 0 for p in entropy):
         raise ValueError(f"seed and key components must be nonnegative integers, got {entropy}")
     return entropy

@@ -14,6 +14,7 @@ use proportionally larger shifts.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -209,25 +210,44 @@ def design_paths(design: DesignSpec, rng: np.random.Generator) -> np.ndarray:
 class StudyConfig:
     """One power study's settings, checked once.
 
+    Each requested test runs at total level ``sum(alpha_split)``; the
+    combined test splits that total as given.  Counts must be integers.
     ``power_config.json`` is ``dataclasses.asdict`` of it, in field order.
     """
 
     designs: tuple[int, ...]
-    tests: tuple[str, ...]
-    reps: int
-    n_perms: int
-    alpha_split: tuple[float, float]  # (cvm level, mean-path level)
-    n_terms: int
-    n_draws: int
-    coeff_law: str
-    mean_level: "float | str"
-    group_sizes: tuple[int, ...]
-    horizon: int
-    seed: Seed
-    shift_scale: float
-    mode: str
+    tests: tuple[str, ...] = TEST_NAMES
+    reps: int = 300
+    n_perms: int = 199
+    alpha_split: tuple[float, float] = (0.025, 0.025)  # (cvm level, mean-path level)
+    n_terms: int = 19
+    n_draws: int = 512
+    coeff_law: str = "gaussian"
+    mean_level: "float | str" = "auto"
+    group_sizes: tuple[int, ...] = (20, 20, 20)
+    horizon: int = 96
+    seed: Seed = 0
+    shift_scale: float = 1.0
+    mode: str = "randomized"
 
     def __post_init__(self) -> None:
+        # tuples and plain numbers, so that the settings echo reads the same
+        # whatever sequence and number types the caller passed; a count
+        # that is not an integer raises instead of being truncated
+        entropy = seed_entropy(self.seed)  # the key's own checks
+        normal = {
+            "designs": tuple(map(operator.index, self.designs)),
+            "tests": tuple(self.tests),
+            "alpha_split": tuple(map(float, self.alpha_split)),
+            "mean_level": self.mean_level if self.mean_level == "auto" else float(self.mean_level),
+            "group_sizes": tuple(map(operator.index, self.group_sizes)),
+            "seed": entropy[0] if isinstance(self.seed, (int, np.integer)) else entropy,
+            "shift_scale": float(self.shift_scale),
+        }
+        for name in ("reps", "n_perms", "n_terms", "n_draws", "horizon"):
+            normal[name] = operator.index(getattr(self, name))
+        for name, value in normal.items():
+            object.__setattr__(self, name, value)
         if self.reps < 1:
             raise ValueError("need at least one replication")
         for kind, values in (("design id", self.designs), ("test", self.tests)):
@@ -241,14 +261,12 @@ class StudyConfig:
             raise ValueError(f"unknown tests {sorted(unknown)}")
         if self.mode not in DECISION_MODES:
             raise ValueError(f"unknown decision mode {self.mode!r}")
-        # the measure's and the key's own checks, made once per study
-        # instead of in the first replication; any finite level stands in
-        # for "auto"
-        level = 0.0 if self.mean_level == "auto" else float(self.mean_level)
+        # the measure's own checks, made once per study instead of in the
+        # first replication; any finite level stands in for "auto"
+        level = 0.0 if self.mean_level == "auto" else self.mean_level
         MeasureSpec(self.n_terms, level, law=self.coeff_law)
         if self.n_draws < 1:
             raise ValueError(f"need at least one measure draw, got {self.n_draws}")
-        seed_entropy(self.seed)
         if self.n_perms < 2:
             raise ValueError("need at least two permutation plans")
         alpha_cvm, alpha_mean = self.alpha_split
@@ -329,7 +347,7 @@ def run_replication(config: StudyConfig, design: DesignSpec, rep: int) -> dict[s
 
     draws = None
     if "cvm" in wanted:
-        level = median_peak(pooled) if config.mean_level == "auto" else float(config.mean_level)
+        level = median_peak(pooled) if config.mean_level == "auto" else config.mean_level
         spec = MeasureSpec(config.n_terms, level, law=config.coeff_law, seed=(*key, 1))
         draws = draw_functions(spec, TimeGrid.regular(design.horizon), config.n_draws)
 
@@ -347,39 +365,6 @@ def run_replication(config: StudyConfig, design: DesignSpec, rep: int) -> dict[s
         ]
         out[test] = any(rejected)
     return out
-
-
-def study_config(
-    designs: Sequence[int],
-    tests: Sequence[str] = TEST_NAMES,
-    reps: int = 300,
-    n_perms: int = 199,
-    group_sizes: Sequence[int] = (20, 20, 20),
-    horizon: int = 96,
-    alpha_split: tuple[float, float] = (0.025, 0.025),
-    n_terms: int = 19,
-    n_draws: int = 512,
-    coeff_law: str = "gaussian",
-    mean_level: "float | str" = "auto",
-    seed: Seed = 0,
-    shift_scale: float = 1.0,
-    mode: str = "randomized",
-) -> StudyConfig:
-    """The checked settings of a power study, for :func:`run_study`.
-
-    Each requested test runs at total level ``sum(alpha_split)``; the
-    combined test splits that total as given.
-    """
-    # tuples and plain numbers, so that the settings echo reads the same
-    # whatever sequence and number types the caller passed
-    return StudyConfig(
-        designs=tuple(int(d) for d in designs), tests=tuple(tests), reps=int(reps),
-        n_perms=int(n_perms), alpha_split=(float(alpha_split[0]), float(alpha_split[1])),
-        n_terms=int(n_terms), n_draws=int(n_draws), coeff_law=coeff_law, mean_level=mean_level,
-        group_sizes=tuple(int(n) for n in group_sizes), horizon=int(horizon),
-        seed=seed if isinstance(seed, int) else tuple(seed), shift_scale=float(shift_scale),
-        mode=mode,
-    )
 
 
 def run_study(config: StudyConfig, threads: int = 1) -> PowerTable:
@@ -413,6 +398,7 @@ def run_study(config: StudyConfig, threads: int = 1) -> PowerTable:
     return PowerTable(tuple(rows), config)
 
 
-def run_power_study(*settings, threads: int = 1, **named) -> PowerTable:
-    """:func:`run_study` of the :func:`study_config` of these settings."""
-    return run_study(study_config(*settings, **named), threads)
+def run_power_study(designs: Sequence[int], *, threads: int = 1, **settings) -> PowerTable:
+    """:func:`run_study` of the :class:`StudyConfig` of these settings,
+    each of them other than ``designs`` given by name."""
+    return run_study(StudyConfig(designs, **settings), threads)

@@ -222,6 +222,11 @@ def indicator_matrix(paths, zvalues) -> np.ndarray:
     return _unpack_words(_indicator_words(paths, zvalues), paths.shape[0]).view(np.bool_).T
 
 
+def _identity_assignment(group_sizes: Sequence[int]) -> np.ndarray:
+    """Plan 0 of every plan set: label s on the s-th block of ``group_sizes[s]`` rows."""
+    return np.repeat(np.arange(len(group_sizes)), group_sizes)
+
+
 def _identity_plan_statistic(
     kind: str, groups: Sequence[np.ndarray], draws: MeasureDraws | None = None
 ) -> float:
@@ -232,7 +237,7 @@ def _identity_plan_statistic(
     """
     mats = _check_groups(groups)
     sizes = tuple(m.shape[0] for m in mats)
-    identity = np.repeat(np.arange(len(sizes)), sizes)[None]
+    identity = _identity_assignment(sizes)[None]
     stats = permutation_statistics(np.vstack(mats), sizes, identity, (kind,), draws)
     value = float(stats[kind][0])
     if not value >= 0.0:

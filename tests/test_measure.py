@@ -98,6 +98,14 @@ def test_spec_validations():
     with pytest.raises(ValueError, match="df"):
         MeasureSpec(n_terms=3, mean_level=0.0, law="student-t", df=2.0)
     assert MeasureSpec(n_terms=9, mean_level=0.0).coeff_sd == pytest.approx(1 / 3)
+    # a fractional n_terms must not pass the checks and fail inside
+    # draw_functions
+    with pytest.raises(TypeError):
+        MeasureSpec(3.5, 0.0)
+    with pytest.raises(TypeError):
+        MeasureSpec("3", 0.0)
+    spec = MeasureSpec(np.int64(3), 0.0)
+    assert type(spec.n_terms) is int and spec.n_terms == 3
 
 
 def test_single_term_rows_are_constant():

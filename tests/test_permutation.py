@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -122,6 +123,11 @@ def test_make_plans_validation():
         make_plans((2, 2), "sampled", count=0)
     with pytest.raises(ValueError):
         make_plans((2, 2), "bogus")
+    # an ignored count or seed would hide that every assignment is listed
+    with pytest.raises(ValueError, match="no plan count or seed"):
+        make_plans((2, 2), "exhaustive", count=3, seed=1)
+    with pytest.raises(ValueError, match="no plan count or seed"):
+        make_plans((2, 2), "exhaustive", seed=1)
 
 
 def test_sampled_plans_need_explicit_seed():
@@ -129,6 +135,48 @@ def test_sampled_plans_need_explicit_seed():
     with pytest.raises(ValueError, match="seed"):
         make_plans((2, 2), "sampled", count=3)
     assert len(make_plans((2, 2), "exhaustive")) == 6
+
+
+@pytest.mark.parametrize(
+    "sizes, digest",
+    [
+        ((2, 1, 1), "cfc0f9154e02ca49"),
+        ((4, 3, 2), "97e23d3b7036ff8f"),
+        ((2, 2, 2, 2), "174926fe6f35c6b3"),
+        ((3, 2, 2, 1), "f87a7a4ab5628304"),
+        ((5, 4, 3), "0d65d49d18393012"),
+        ((9, 9), "a526d9461f3b77e4"),
+        ((1, 1, 1, 1, 1), "1c0f79a84883e97b"),
+    ],
+)
+def test_exhaustive_order_is_pinned(sizes, digest):
+    # the sha256 prefixes of the row-by-row enumeration the plan matrix
+    # replaced: same rows, same order, same int8 bytes
+    rows = np.stack([p.assignment for p in make_plans(sizes, "exhaustive")])
+    assert rows.shape == (number_of_assignments(sizes), sum(sizes))
+    assert np.array_equal(rows[0], np.repeat(np.arange(len(sizes)), sizes))
+    assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("mode, count, seed", [("exhaustive", None, None), ("sampled", 30, 4)])
+def test_make_plans_rows_are_read_only(mode, count, seed):
+    plans = make_plans((3, 2, 2), mode, count, seed)
+    assert [p.index for p in plans] == list(range(len(plans)))
+    for plan in plans:
+        assert plan.assignment.dtype == np.int8
+        assert not plan.assignment.flags.writeable
+        with pytest.raises(ValueError):
+            plan.assignment[0] = 1
+
+
+@pytest.mark.parametrize("mode, count, seed", [("exhaustive", None, None), ("sampled", 5, 1)])
+def test_plan_group_sizes_must_be_integers(mode, count, seed):
+    with pytest.raises(TypeError):
+        make_plans((2.7, 2), mode, count, seed)
+    with pytest.raises(TypeError):
+        make_plans(("2", 2), mode, count, seed)
+    plans = make_plans(np.array([2, 2]), mode, count, seed)
+    assert plans[0].assignment.tolist() == [0, 0, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +254,14 @@ def test_decide_conservative_never_rejects_tie():
 def test_decide_randomized_requires_rng_on_tie():
     with pytest.raises(ValueError, match="generator"):
         decide(5.0, dist_of([5.0, 5.0]), 0.5, "randomized")
+
+
+@pytest.mark.parametrize("observed", [float("nan"), float("inf"), -float("inf")])
+def test_decide_rejects_non_finite_observed(observed):
+    # a NaN compares false with everything and would read as p = 0, not
+    # rejected
+    with pytest.raises(ValueError, match="finite"):
+        decide(observed, dist_of([1.0, 2.0, 3.0, 4.0]), 0.5, "conservative")
 
 
 def test_p_value_cases():
@@ -759,6 +815,26 @@ def test_run_combined_test_end_to_end():
     assert result.rejected
     assert result.p_value_combined <= 0.05
     assert result.cvm.level == 0.025 and result.mean_path.level == 0.025
+
+
+def test_run_combined_test_needs_the_identity_first():
+    # each component decides on plan 0's statistic, so a plan set that
+    # does not start at the identity would test some other partition
+    from funcperm import FunctionalSample, run_combined_test
+
+    rng = np.random.default_rng(6)
+    paths = np.vstack([rng.normal(size=(10, 6)), rng.normal(size=(10, 6)) + 1.0])
+    sample = FunctionalSample(paths, [0] * 10 + [1] * 10, TimeGrid.regular(6))
+    draws = draw_functions(MeasureSpec(n_terms=3, mean_level=1.0, seed=1), sample.grid, 64)
+    matrix = sampled_plan_matrix((10, 10), 99, seed=2)
+    with pytest.raises(ValueError, match="identity"):
+        run_combined_test(sample, draws, matrix[::-1], 0.025, 0.025, seed=3)
+    with pytest.raises(ValueError, match="identity"):
+        run_combined_test(sample, draws, make_plans((10, 10), "sampled", 99, seed=2)[1:], seed=3)
+    from_matrix = run_combined_test(sample, draws, matrix, 0.025, 0.025, seed=3)
+    from_list = run_combined_test(sample, draws, make_plans((10, 10), "sampled", 99, seed=2), seed=3)
+    assert from_matrix == from_list
+    assert from_matrix.cvm.observed == cvm_statistic_multi([paths[:10], paths[10:]], draws)
 
 
 def test_hand_evaluation_of_critical_value_and_weight_on_tiny_sample():

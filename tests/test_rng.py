@@ -25,3 +25,18 @@ def test_stage_streams_do_not_alias(seed):
     rep_states = {_state(seed, rep, stage) for rep in range(reps) for stage in (0, 2, 3)}
     assert len(rep_states) == 3 * reps
     assert _state(seed, reps, 1) not in rep_states
+
+
+@pytest.mark.parametrize("seed, key", [((3, 1.5), ()), ((3, "2"), ()), (3, (1.5,)), (3, ("2",))])
+def test_seed_and_key_components_must_be_integers(seed, key):
+    # truncating 1.5 to 1 or parsing "2" as 2 would silently alias the
+    # stream another integer key names
+    with pytest.raises(TypeError):
+        seed_entropy(seed, *key)
+
+
+def test_numpy_integer_key_components_are_plain_integers():
+    entropy = seed_entropy((3, np.int64(1)), np.uint8(2))
+    assert entropy == (3, 1, 2)
+    assert all(type(p) is int for p in entropy)
+    assert seed_entropy(np.int64(3), 1) == (3, 1)

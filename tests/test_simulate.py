@@ -351,6 +351,40 @@ def test_bad_study_setting_rejected_before_any_replication(monkeypatch, setting,
         run_power_study(**{**STUDY_KW, **setting})
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [{"reps": 2.7}, {"reps": "3"}, {"designs": [1.5]}, {"n_perms": 19.0}, {"group_sizes": (3, 3, 3.5)},
+     {"horizon": 8.0}, {"n_terms": 3.0}, {"n_draws": "8"}, {"seed": (2, 0.5)}],
+    ids=["reps-float", "reps-text", "design-float", "perms-float", "size-float", "horizon-float",
+         "terms-float", "draws-text", "seed-float"],
+)
+def test_study_counts_must_be_integers(monkeypatch, setting):
+    # a truncated count would run a different study than the one asked for
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulate, "run_replication", no_replication)
+    with pytest.raises(TypeError):
+        run_power_study(**{**STUDY_KW, **setting})
+
+
+def test_study_config_defaults_echo():
+    # the power_config.json of a study given only its designs
+    config = StudyConfig(designs=(1,))
+    assert json.dumps(dataclasses.asdict(config)) == (
+        '{"designs": [1], "tests": ["cvm", "combined", "energy"], "reps": 300, "n_perms": 199, '
+        '"alpha_split": [0.025, 0.025], "n_terms": 19, "n_draws": 512, '
+        '"coeff_law": "gaussian", "mean_level": "auto", "group_sizes": [20, 20, 20], '
+        '"horizon": 96, "seed": 0, "shift_scale": 1.0, "mode": "randomized"}'
+    )
+    # numpy and range inputs read the same in the echo
+    same = StudyConfig(designs=range(1, 2), reps=np.int64(300), group_sizes=np.array([20, 20, 20]),
+                       alpha_split=np.array([0.025, 0.025]), seed=np.int64(0), shift_scale=1)
+    assert json.dumps(dataclasses.asdict(same)) == json.dumps(dataclasses.asdict(config))
+    levels = [StudyConfig(designs=(1,), mean_level=level).mean_level for level in (2, np.float32(2.5))]
+    assert levels == [2.0, 2.5] and all(type(level) is float for level in levels)
+
+
 def test_power_study_pinned_at_benchmark_shapes():
     # written by the per-group simulation and plan-object code this path
     # replaced; any drift in a statistic's bits that flips a decision shows
