@@ -15,13 +15,12 @@ to one).  Drawing many such Z's materializes the measure on the grid.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .rng import Seed, substream
+from .rng import Seed, _index, substream
 from .samples import FunctionalSample, TimeGrid
 
 COEFF_LAWS = ("gaussian", "uniform", "student-t")
@@ -46,7 +45,7 @@ class MeasureSpec:
     seed: Seed = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_terms", operator.index(self.n_terms))
+        object.__setattr__(self, "n_terms", _index(self.n_terms))
         if self.n_terms < 1 or self.n_terms % 2 == 0:
             raise ValueError(f"n_terms must be an odd positive integer, got {self.n_terms}")
         if not np.isfinite(self.mean_level):

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .measure import MeasureDraws
-from .rng import Seed, substream
+from .rng import Seed, _index, substream
 from .samples import pooled_by_group
 from .stats import _identity_assignment, _plan_matrix, permutation_statistics
 
@@ -113,7 +112,7 @@ def number_of_assignments(group_sizes: Sequence[int]) -> int:
 
 
 def _checked_sizes(group_sizes: Sequence[int]) -> tuple[int, ...]:
-    sizes = tuple(operator.index(n) for n in group_sizes)
+    sizes = tuple(_index(n) for n in group_sizes)
     if len(sizes) < 2:
         raise ValueError("need at least two groups to permute")
     if any(n < 1 for n in sizes):
@@ -217,7 +216,9 @@ def critical_value(dist: PermutationDistribution, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     ordered = np.sort(dist.stats)
-    rank = math.ceil(dist.n_plans * (1.0 - alpha) - _QUANTILE_EPS)
+    # at least 1: within the guard of alpha = 1 the rank would be 0, and
+    # ordered[-1] the largest statistic
+    rank = max(1, math.ceil(dist.n_plans * (1.0 - alpha) - _QUANTILE_EPS))
     return float(ordered[rank - 1])
 
 

@@ -26,14 +26,22 @@ import numpy as np
 Seed = Union[int, tuple]
 
 
+def _index(value) -> int:
+    """``operator.index`` that also refuses a bool: ``True`` is a flag, not
+    the count or key 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def seed_entropy(seed: Seed, *key: int) -> tuple[int, ...]:
     """Flatten ``seed`` and an integer key path into SeedSequence entropy.
 
-    Every component must be an integer; a float or a string raises
+    Every component must be an integer; a float, a string or a bool raises
     TypeError rather than being truncated or parsed into another key.
     """
     parts = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    entropy = tuple(operator.index(p) for p in (*parts, *key))
+    entropy = tuple(_index(p) for p in (*parts, *key))
     if any(p < 0 for p in entropy):
         raise ValueError(f"seed and key components must be nonnegative integers, got {entropy}")
     return entropy

@@ -113,7 +113,7 @@ class FunctionalSample:
             )
         if not np.all(np.isfinite(paths)):
             raise ValueError("paths contain non-finite values")
-        if labels.dtype.kind not in "biu":
+        if labels.dtype.kind not in "iu":
             raise ValueError("group ids must be integers")
         labels = labels.astype(int, copy=False)
         if labels.min() < 0:

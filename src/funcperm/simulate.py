@@ -14,7 +14,6 @@ use proportionally larger shifts.
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -24,7 +23,7 @@ import numpy as np
 
 from .measure import MeasureSpec, draw_functions, median_peak
 from .permutation import DECISION_MODES, decide, permutation_distributions, sampled_plan_matrix
-from .rng import Seed, seed_entropy, substream
+from .rng import Seed, _index, seed_entropy, substream
 from .samples import TimeGrid
 
 MEAN_SHIFT = 0.05
@@ -233,19 +232,20 @@ class StudyConfig:
     def __post_init__(self) -> None:
         # tuples and plain numbers, so that the settings echo reads the same
         # whatever sequence and number types the caller passed; a count
-        # that is not an integer raises instead of being truncated
+        # that is not an integer (a bool included) raises instead of being
+        # truncated
         entropy = seed_entropy(self.seed)  # the key's own checks
         normal = {
-            "designs": tuple(map(operator.index, self.designs)),
+            "designs": tuple(map(_index, self.designs)),
             "tests": tuple(self.tests),
             "alpha_split": tuple(map(float, self.alpha_split)),
             "mean_level": self.mean_level if self.mean_level == "auto" else float(self.mean_level),
-            "group_sizes": tuple(map(operator.index, self.group_sizes)),
+            "group_sizes": tuple(map(_index, self.group_sizes)),
             "seed": entropy[0] if isinstance(self.seed, (int, np.integer)) else entropy,
             "shift_scale": float(self.shift_scale),
         }
         for name in ("reps", "n_perms", "n_terms", "n_draws", "horizon"):
-            normal[name] = operator.index(getattr(self, name))
+            normal[name] = _index(getattr(self, name))
         for name, value in normal.items():
             object.__setattr__(self, name, value)
         if self.reps < 1:
@@ -269,6 +269,8 @@ class StudyConfig:
             raise ValueError(f"need at least one measure draw, got {self.n_draws}")
         if self.n_perms < 2:
             raise ValueError("need at least two permutation plans")
+        if len(self.alpha_split) != 2:
+            raise ValueError(f"alpha_split needs two levels (cvm, mean_path), got {len(self.alpha_split)}")
         alpha_cvm, alpha_mean = self.alpha_split
         if not (alpha_cvm > 0 and alpha_mean > 0):
             raise ValueError("levels must be positive")

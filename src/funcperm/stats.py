@@ -6,8 +6,8 @@ group assignments at once, and the standalone functions are that engine
 run on the single identity assignment.  So a standalone value equals
 plan 0 of a one-plan call.  A cvm value also equals plan 0 of any call;
 a mean_path or energy value may differ from plan 0 of a many-plan call
-in the last bits, since a float64 product's rounding can depend on its
-number of rows.
+in the last bits, since a float64 product's rounding can depend on the
+row count of plan 0's block.
 
 Three statistics, all nonnegative and zero when the compared groups are
 indistinguishable:
@@ -45,19 +45,16 @@ Numerical contract:
   by B splits them exactly into c_b (integer part) and c_a (fraction).
   The counts become float64 before the division by the group size (N
   above 2**24 is rejected);
-* the CvM step reduces the plans in fixed blocks of rows: per block, one
-  product gives every mask word's counts, which are split into the
-  treatments' counts, and the control counts are the pooled counts minus
-  their sum.  All are exact integers.  The float64 steps after them
-  (divide, subtract, square, row sums) run in row slices of the block and
-  work row by row, so a plan's cvm value depends neither on its block,
-  its slice nor the word layout.  Besides the 4 N L' bytes of ``hits``,
-  the step holds one block's buffers (``_CVM_BLOCK_BYTES``), allocated
-  once and reused by every block, and one slice's tail
-  (``_CVM_TAIL_BYTES``), or one row where a row needs more, so its
-  memory does not grow with Q.  mean_path and energy take every plan in
-  one float64 product, whose rounding can depend on how many rows the
-  product has;
+* every statistic reduces the plans in the same blocks of rows, each
+  holding at most ``_BLOCK_BYTES`` of bool label planes and statistic
+  buffers (or one row), so no statistic's memory grows with Q.  In the
+  CvM step one product per block gives every mask word's counts, split
+  into the treatments' counts, and the control counts are the pooled
+  counts minus their sum, all exact integers; the float64 steps after
+  them run in row slices of ``_CVM_TAIL_BYTES`` and work row by row, so a
+  plan's cvm value depends neither on its block, its slice nor the word
+  layout.  mean_path and energy take float64 products per block, whose
+  rounding can depend on the block's row count;
 * the remaining reductions use numpy's pairwise summation, so
   recomputing any statistic on the same inputs is bit-identical, and
   mathematically equivalent summation orders agree to better than 1e-12
@@ -85,10 +82,9 @@ _MAX_EXACT_COUNT = 1 << 24
 # in cache.
 _INDICATOR_BLOCK_BYTES = 1 << 20
 
-# Bytes that the CvM step may hold for one block of plan rows: its float32
-# mask words and counts and its bool label test.  The buffers live through
-# the block's tail, so with _CVM_TAIL_BYTES this makes 8 MiB.
-_CVM_BLOCK_BYTES = 7 << 20
+# Bytes that permutation_statistics may hold for one block of plan rows: bool
+# label planes and statistic buffers.  With the CvM tail a cvm call holds 8 MiB.
+_BLOCK_BYTES = 7 << 20
 
 # Bytes that the CvM step may hold for one slice of a block's rows in its
 # float64 tail: the control counts and the control and treatment means.
@@ -266,7 +262,7 @@ def mean_path_statistic_multi(groups: Sequence[np.ndarray]) -> float:
     Each term is (n_0 + n_s) times the average over grid points of the
     squared difference of the group mean paths.  The value is plan 0 of
     a one-plan :func:`permutation_statistics` call; plan 0 of a many-plan
-    call may differ in the last bits.
+    call may differ in the last bits, as its block has more rows.
     """
     return _identity_plan_statistic("mean_path", groups)
 
@@ -302,7 +298,7 @@ def energy_statistic(groups: Sequence[np.ndarray]) -> float:
     2 E||X_0 - X_s|| - E||X_0 - X_0'|| - E||X_s - X_s'||, with all-pairs
     averages (diagonal included) over the observed paths.  The value is
     plan 0 of a one-plan :func:`permutation_statistics` call; plan 0 of a
-    many-plan call may differ in the last bits.
+    many-plan call may differ in the last bits, as its block has more rows.
     """
     return _identity_plan_statistic("energy", groups)
 
@@ -351,74 +347,103 @@ def _cvm_base(sizes) -> int:
     return base if base * base <= _MAX_EXACT_COUNT else 0
 
 
-def _cvm_block_rows(n_treat: int, n_paths: int, n_cols: int, n_words: int | None = None) -> int:
-    """Plan rows per CvM block: as many as fit ``_CVM_BLOCK_BYTES``, with
-    ``n_words`` mask words per row (by default two treatments to a word)."""
+def _cvm_block_rows(n_treat: int, n_paths: int, n_cols: int, n_words: int | None = None,
+                    statistics: Sequence[str] = ("cvm",), width: int = 0) -> int:
+    """Plan rows per block of :func:`permutation_statistics`, for every
+    statistic: as many as fit ``_BLOCK_BYTES`` with the bool label planes
+    and the per-row buffers of each of ``statistics``.  cvm has ``n_words``
+    mask words per row (by default two treatments to a word) and ``n_cols``
+    informative draws; mean_path has ``width`` grid points."""
     if n_words is None:
         n_words = -(-n_treat // 2)
-    # per row: the float32 mask words, the bool label test and the float32
-    # treatment counts (the product fills their leading planes)
-    row_bytes = 4 * n_words * n_paths + n_paths + 4 * n_treat * n_cols
-    return max(1, _CVM_BLOCK_BYTES // row_bytes)
+    row_bytes = (n_treat + 1) * n_paths
+    if "cvm" in statistics:
+        # float32 mask words and treatment counts (the product fills the latter)
+        row_bytes += 4 * n_words * n_paths + 4 * n_treat * n_cols
+    if "mean_path" in statistics:
+        # one float64 mask, the control's and one treatment's float64 means
+        row_bytes += 8 * (n_paths + 2 * width)
+    if "energy" in statistics:
+        # every float64 mask and its float64 row block (mask @ distances)
+        row_bytes += 16 * (n_treat + 1) * n_paths
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _cvm_tail_rows(n_cols: int) -> int:
     """Plan rows per slice of the CvM float64 tail: as many as fit
-    ``_CVM_TAIL_BYTES``."""
-    # per row: the float32 control counts and the float64 control and
-    # treatment means
+    ``_CVM_TAIL_BYTES`` of float32 control counts and float64 control and
+    treatment means."""
     return max(1, _CVM_TAIL_BYTES // (20 * max(1, n_cols)))
 
 
-def _cvm_contrast(matrix: np.ndarray, sizes, hits: np.ndarray, pooled_hits, width: int) -> np.ndarray:
-    """Per plan, the CvM sum over treatments of squared group-CDF contrasts.
+def _label_planes(rows: np.ndarray, sizes, planes: np.ndarray) -> np.ndarray:
+    """(S+1, B, N) bool planes of a block of plan rows, plane s marking
+    group s, in the flat buffer ``planes``; raises ValueError unless every
+    row gives each group its size."""
+    n_rows, n_paths = rows.shape
+    labels = planes[:len(sizes) * n_rows * n_paths].reshape(len(sizes), n_rows, n_paths)
+    for s, plane in enumerate(labels):
+        np.equal(rows, s, out=plane)
+        if not np.all(np.count_nonzero(plane, axis=1) == sizes[s]):
+            raise ValueError("a plan does not respect the group sizes")
+    return labels
+
+
+def _add_contrasts(total: np.ndarray, group_sums, sizes, width: int) -> None:
+    """Add to ``total``, per row, the sum over treatments s of (n_0 + n_s)
+    times the average over ``width`` columns of the squared difference of
+    the control and treatment-s means, for cvm and mean_path alike.
+
+    ``group_sums`` yields the control's sums, then each treatment's; a
+    group's mean is its sums divided by its size in float64.  Every step
+    works row by row, and a generator keeps one treatment's sums live.
+    """
+    group_sums = iter(group_sums)
+    control = np.divide(next(group_sums), sizes[0], dtype=np.float64)
+    for s, sums in enumerate(group_sums, start=1):
+        contrast = np.divide(sums, sizes[s], dtype=np.float64)
+        np.subtract(control, contrast, out=contrast)
+        np.square(contrast, out=contrast)
+        total += (sizes[0] + sizes[s]) * (contrast.sum(axis=1) / width)
+        del sums, contrast  # free them before the next treatment's are built
+
+
+def _cvm_step(sizes, hits: np.ndarray, pooled_hits, width: int, base: int, n_words: int, block: int):
+    """The CvM reduction of a block's label planes into its ``total``,
+    as ``step(labels, total)``.
 
     ``hits`` is the float32 (N, L') indicator of the informative draws and
-    ``pooled_hits`` its column sums; ``width`` counts every draw and
-    divides the average.  Plans are taken in blocks of rows that fit
-    ``_CVM_BLOCK_BYTES``, and each block's plan sizes are checked.  A
-    block's treatment masks are packed into float32 words, two treatments
-    to a word where :func:`_cvm_base` allows, for a single product with
-    ``hits``; the counts are split back out of the words exactly, and the
-    control counts are the pooled counts minus the treatment counts.  The
-    float64 steps after the product run in row slices that fit
-    ``_CVM_TAIL_BYTES``.  The block's buffers are allocated once, for the
-    first block, and reused by every later one.
+    ``pooled_hits`` its column sums; ``width`` counts every draw.  The
+    treatment planes are packed into ``n_words`` float32 words per row, two
+    to a word with weight ``base`` (see :func:`_cvm_base`) or one if it is
+    0, for one product with ``hits``; the counts are split back out of the
+    words exactly.  The float64 tail runs in row slices that fit
+    ``_CVM_TAIL_BYTES``.  The word and count buffers, for ``block`` rows,
+    are allocated once and reused by every block.
     """
-    n_plans, n_paths = matrix.shape
-    n_treat, n_cols = len(sizes) - 1, hits.shape[1]
-    base = _cvm_base(sizes)
-    n_words = -(-n_treat // 2) if base else n_treat
+    n_treat, (n_paths, n_cols) = len(sizes) - 1, hits.shape
     # treatments 1..n_words take weight 1 in words 0..n_words - 1; the rest
     # take weight B in words 0..n_high - 1, the mixed words
     n_high = n_treat - n_words
-    block = max(1, min(n_plans, _cvm_block_rows(n_treat, n_paths, n_cols, n_words)))
     step = _cvm_tail_rows(n_cols)
     packed = np.empty(n_words * block * n_paths, dtype=np.float32)
-    label = np.empty(block * n_paths, dtype=np.bool_)
     buffer = np.empty(n_treat * block * n_cols, dtype=np.float32)
-    total = np.zeros(n_plans)
-    for start in range(0, n_plans, block):
-        rows = matrix[start:start + block]
-        n_rows = len(rows)
+
+    def reduce(labels: np.ndarray, total: np.ndarray) -> None:
+        n_rows = labels.shape[1]
         words = packed[:n_words * n_rows * n_paths].reshape(n_words, n_rows, n_paths)
-        test = label[:n_rows * n_paths].reshape(n_rows, n_paths)
         # weight-B treatments first, so that they set the mixed words
-        for s in (0,) + tuple(range(n_treat, 0, -1)):
-            np.equal(rows, s, out=test)
-            if not np.all(np.count_nonzero(test, axis=1) == sizes[s]):
-                raise ValueError("a plan does not respect the group sizes")
+        for s in range(n_treat, 0, -1):
             if s > n_words:
-                np.multiply(test, np.float32(base), out=words[s - 1 - n_words])
+                np.multiply(labels[s], np.float32(base), out=words[s - 1 - n_words])
             elif s > n_high:
-                np.copyto(words[s - 1], test)
-            elif s:
-                np.add(words[s - 1], test, out=words[s - 1])
+                np.copyto(words[s - 1], labels[s])
+            else:
+                np.add(words[s - 1], labels[s], out=words[s - 1])
         # the product fills the leading n_words planes of the counts
         counts = buffer[:n_treat * n_rows * n_cols].reshape(n_treat, n_rows, n_cols)
         product = counts[:n_words].reshape(n_words * n_rows, n_cols)
         np.matmul(words.reshape(n_words * n_rows, n_paths), hits, out=product)
-        block_total = total[start:start + block]
         for lo in range(0, n_rows, step):
             treated = counts[:, lo:lo + step]
             if n_high:
@@ -431,60 +456,23 @@ def _cvm_contrast(matrix: np.ndarray, sizes, hits: np.ndarray, pooled_hits, widt
                 np.multiply(mixed, np.float32(base), out=mixed)
             control = treated.sum(axis=0)
             np.subtract(pooled_hits, control, out=control)
-            control = np.divide(control, sizes[0], dtype=np.float64)
-            part = block_total[lo:lo + step]
-            for s in range(1, len(sizes)):
-                contrast = np.divide(treated[s - 1], sizes[s], dtype=np.float64)
-                np.subtract(control, contrast, out=contrast)
-                np.square(contrast, out=contrast)
-                part += (sizes[0] + sizes[s]) * (contrast.sum(axis=1) / width)
-                del contrast  # free it before the next treatment's is built
-    return total
+            _add_contrasts(total[lo:lo + step], (control, *treated), sizes, width)
+
+    return reduce
 
 
-def _mean_path_contrast(masks, sizes, pooled: np.ndarray) -> np.ndarray:
-    """Per plan, the mean-path sum over treatments of group-mean contrasts.
-
-    Group sums are float64 mask products, divided by the group size.
-    Group means are formed one treatment at a time, so at most three
-    (Q, J) blocks are live, whatever the number of groups.
-    """
-    width = pooled.shape[1]
-
-    def group_mean(s: int) -> np.ndarray:
-        sums = masks[s].astype(np.float64, copy=False) @ pooled
-        return np.divide(sums, sizes[s], dtype=np.float64)
-
-    control = group_mean(0)
-    total = np.zeros(masks[0].shape[0])
-    for s in range(1, len(sizes)):
-        contrast = group_mean(s)
-        np.subtract(control, contrast, out=contrast)
-        np.square(contrast, out=contrast)
-        total += (sizes[0] + sizes[s]) * (contrast.sum(axis=1) / width)
-        del contrast  # free it before the next treatment's block is built
-    return total
-
-
-def _distance_contrast(masks, sizes, dist: np.ndarray) -> np.ndarray:
-    """Per plan, the energy sum over treatments of distance-kernel contrasts.
-
-    ``masks`` are the float64 group masks.
-    """
+def _distance_contrast(labels: np.ndarray, sizes, dist: np.ndarray, total: np.ndarray) -> None:
+    """Add to ``total``, per row, the energy sum over treatments of
+    distance-kernel contrasts, from a block's bool label planes."""
+    masks = labels.astype(np.float64)
     rows = [mask @ dist for mask in masks]
-    within = [
-        np.einsum("qn,qn->q", rows[s], masks[s]) / sizes[s] ** 2
-        for s in range(len(sizes))
-    ]
+    within = [np.einsum("qn,qn->q", rows[s], masks[s]) / sizes[s] ** 2 for s in range(len(sizes))]
     n0 = sizes[0]
-    total = np.zeros(masks[0].shape[0])
     for s in range(1, len(sizes)):
         cross = np.einsum("qn,qn->q", rows[0], masks[s]) / (n0 * sizes[s])
-        total += n0 * sizes[s] / (n0 + sizes[s]) * (
-            2.0 * cross - within[0] - within[s]
-        )
+        total += n0 * sizes[s] / (n0 + sizes[s]) * (2.0 * cross - within[0] - within[s])
     # Clip away negative rounding residue from exactly-zero configurations.
-    return np.maximum(total, 0.0)
+    np.maximum(total, 0.0, out=total)
 
 
 def permutation_statistics(
@@ -502,11 +490,15 @@ def permutation_statistics(
     group labels.  All plans are evaluated against the same ``draws``,
     which is what makes the sampled test exact for any number of draws.
 
-    The heavy lifting is a handful of matrix products: group membership
-    masks hold exact 0/1 values, so CDF counts are exact integers and the
-    per-plan statistic is a fixed function of the partition.  The cvm
-    statistic needs at most 2**24 pooled paths, the most for which float32
-    counts are exact.
+    One loop takes the plans in blocks of rows (see ``_cvm_block_rows``):
+    per block, :func:`_label_planes` builds the group labels and checks the
+    plan sizes, for every statistic and for a call with none, and each
+    requested statistic reduces the block with a few matrix products into
+    its slice of the (Q,) result.  Group masks hold exact 0/1 values, so
+    CDF counts are exact integers and a cvm value is a fixed function of
+    the partition; a mean_path or energy value's last bits may depend on
+    its block's row count.  The cvm statistic needs at most 2**24 pooled
+    paths, the most for which float32 counts are exact.
     """
     unknown = set(statistics) - set(PERMUTATION_STATISTICS)
     if unknown:
@@ -519,21 +511,27 @@ def permutation_statistics(
             raise ValueError("the cvm statistic supports at most 2**24 pooled paths")
     pooled = np.asarray(pooled, dtype=float)
     matrix = _plan_matrix(plans, sizes)
-    out: dict[str, np.ndarray] = {}
+    (n_plans, n_paths), width = matrix.shape, pooled.shape[1]
+    n_treat, n_cols, n_words = len(sizes) - 1, 0, 0
     if "cvm" in statistics:
         hits, pooled_hits = _cvm_hits(pooled, draws.values)
-        out["cvm"] = _cvm_contrast(matrix, sizes, hits, pooled_hits, len(draws.values))
-    if set(statistics) != {"cvm"}:
-        # whole (Q, N) masks; a call for no statistic only checks the plans
-        masks = [matrix == s for s in range(len(sizes))]
-        for s, mask in enumerate(masks):
-            if not np.all(mask.sum(axis=1) == sizes[s]):
-                raise ValueError("a plan does not respect the group sizes")
-    if "energy" in statistics:
-        # energy needs every mask as float64 at once; mean_path shares them
-        masks = [mask.astype(np.float64) for mask in masks]
+        base = _cvm_base(sizes)
+        n_cols, n_words = hits.shape[1], (-(-n_treat // 2) if base else n_treat)
+    block = max(1, min(n_plans, _cvm_block_rows(n_treat, n_paths, n_cols, n_words, statistics, width)))
+    steps = {}
+    if "cvm" in statistics:
+        steps["cvm"] = _cvm_step(sizes, hits, pooled_hits, len(draws.values), base, n_words, block)
     if "mean_path" in statistics:
-        out["mean_path"] = _mean_path_contrast(masks, sizes, pooled)
+        steps["mean_path"] = lambda labels, total: _add_contrasts(
+            total, (plane.astype(np.float64) @ pooled for plane in labels), sizes, width
+        )
     if "energy" in statistics:
-        out["energy"] = _distance_contrast(masks, sizes, pairwise_distances(pooled))
+        dist = pairwise_distances(pooled)
+        steps["energy"] = lambda labels, total: _distance_contrast(labels, sizes, dist, total)
+    out = {name: np.zeros(n_plans) for name in steps}
+    planes = np.empty(len(sizes) * block * n_paths, dtype=np.bool_)
+    for start in range(0, n_plans, block):
+        labels = _label_planes(matrix[start:start + block], sizes, planes)
+        for name, step in steps.items():
+            step(labels, out[name][start:start + block])
     return out

@@ -104,6 +104,8 @@ def test_spec_validations():
         MeasureSpec(3.5, 0.0)
     with pytest.raises(TypeError):
         MeasureSpec("3", 0.0)
+    with pytest.raises(TypeError):
+        MeasureSpec(True, 0.0)
     spec = MeasureSpec(np.int64(3), 0.0)
     assert type(spec.n_terms) is int and spec.n_terms == 3
 

@@ -175,6 +175,8 @@ def test_plan_group_sizes_must_be_integers(mode, count, seed):
         make_plans((2.7, 2), mode, count, seed)
     with pytest.raises(TypeError):
         make_plans(("2", 2), mode, count, seed)
+    with pytest.raises(TypeError):
+        make_plans((True, 2), mode, count, seed)
     plans = make_plans(np.array([2, 2]), mode, count, seed)
     assert plans[0].assignment.tolist() == [0, 0, 1, 1]
 
@@ -187,6 +189,8 @@ def test_critical_value_definition_cases():
     stats = list(range(1, 21))
     assert critical_value(dist_of(stats), 0.05) == 19.0
     assert critical_value(dist_of(stats), 0.049) == 20.0
+    # Q (1 - alpha) below the float guard: the rank is 1, the smallest
+    assert critical_value(dist_of(stats), 1 - 1e-12) == 1.0
 
 
 def test_critical_value_constant_stats():
@@ -522,14 +526,16 @@ def test_engine_cvm_block_rows_at_cohort_shape():
 @pytest.mark.parametrize("label", [0, 2])
 def test_engine_cvm_checks_plan_sizes_in_every_block(monkeypatch, label):
     # a plan in the last block moves one path of group `label` to a label
-    # that no group has
+    # that no group has; every statistic, and the call for none, shares the
+    # blocks and their size check
     monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: 4)
     sizes = (3, 3, 3)
     pooled, draws, matrix = _cvm_case(sizes, 3, 20, 10, seed=22)
     matrix = matrix.copy()
     matrix[9, np.flatnonzero(matrix[9] == label)[0]] = 5
-    with pytest.raises(ValueError, match="group sizes"):
-        permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)
+    for statistics in (("cvm",), ("mean_path",), ("energy",), ()):
+        with pytest.raises(ValueError, match="group sizes"):
+            permutation_statistics(pooled, sizes, matrix, statistics, draws)
 
 
 def test_engine_cvm_without_informative_draws_is_zero():
@@ -775,6 +781,54 @@ def test_engine_energy_peak_memory_bounded():
     # (mask @ distances), and the N x N distance matrix
     layout = (len(sizes) + 1) * q * n + 16 * len(sizes) * q * n + 8 * n * n
     assert peak <= 1.1 * layout
+
+
+@pytest.mark.parametrize("statistic", ["mean_path", "energy"])
+def test_engine_peak_memory_independent_of_q(statistic):
+    # 3 x 100 paths, J = 24; the plan matrix is built outside the trace, so
+    # what grows with Q is only the (Q,) result
+    rng = np.random.default_rng(4)
+    sizes, width = (100, 100, 100), 24
+    pooled = rng.normal(size=(sum(sizes), width))
+    peaks = {}
+    for q in (2000, 8000):
+        matrix = sampled_plan_matrix(sizes, q, seed=(6, 2))
+        tracemalloc.start()
+        try:
+            permutation_statistics(pooled, sizes, matrix, (statistic,))
+            _, peaks[q] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[8000] <= 1.1 * peaks[2000]
+
+
+def test_engine_one_statistic_equals_every_statistic_at_power_shape():
+    # a power-study replication's shape: 3 x 20 paths, J = 96, L = 512,
+    # Q = 199.  Every statistic set fits one block there, so a call for one
+    # statistic gives the bits of the call for all three
+    sizes = (20, 20, 20)
+    pooled, draws, matrix = _cvm_case(sizes, 96, 512, 199, seed=28)
+    names = ("cvm", "mean_path", "energy")
+    every = permutation_statistics(pooled, sizes, matrix, names, draws)
+    for name in names:
+        one = permutation_statistics(pooled, sizes, matrix, (name,), draws)
+        assert list(one) == [name]
+        assert one[name].tobytes() == every[name].tobytes(), name
+
+
+def test_engine_blocks_match_one_block_for_every_statistic(monkeypatch):
+    # 50 plans in 7-row blocks (the last one short) against one block: cvm
+    # bit for bit, mean_path and energy within float64 rounding
+    sizes = (6, 5, 7, 4)
+    pooled, draws, matrix = _cvm_case(sizes, 5, 40, 50, seed=29)
+    names = ("cvm", "mean_path", "energy")
+    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: len(matrix))
+    whole = permutation_statistics(pooled, sizes, matrix, names, draws)
+    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: 7)
+    blocked = permutation_statistics(pooled, sizes, matrix, names, draws)
+    assert blocked["cvm"].tobytes() == whole["cvm"].tobytes()
+    for name in ("mean_path", "energy"):
+        assert blocked[name] == pytest.approx(whole[name], rel=1e-12), name
 
 
 def test_engine_rejects_plan_violating_sizes():

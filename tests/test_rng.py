@@ -27,10 +27,13 @@ def test_stage_streams_do_not_alias(seed):
     assert _state(seed, reps, 1) not in rep_states
 
 
-@pytest.mark.parametrize("seed, key", [((3, 1.5), ()), ((3, "2"), ()), (3, (1.5,)), (3, ("2",))])
+@pytest.mark.parametrize(
+    "seed, key",
+    [((3, 1.5), ()), ((3, "2"), ()), (3, (1.5,)), (3, ("2",)), (True, (False,)), ((3, True), ())],
+)
 def test_seed_and_key_components_must_be_integers(seed, key):
-    # truncating 1.5 to 1 or parsing "2" as 2 would silently alias the
-    # stream another integer key names
+    # truncating 1.5 to 1, parsing "2" as 2 or reading True as 1 would
+    # silently alias the stream another integer key names
     with pytest.raises(TypeError):
         seed_entropy(seed, *key)
 

@@ -171,6 +171,12 @@ def test_direct_construction_with_fractional_labels_rejected():
         FunctionalSample(np.zeros((3, 2)), [0, 0.7, 1.2], TimeGrid.regular(2))
 
 
+def test_direct_construction_with_bool_labels_rejected():
+    # True and False are not group ids 1 and 0
+    with pytest.raises(ValueError, match="group ids must be integers"):
+        FunctionalSample(np.zeros((3, 2)), np.array([True, False, True]), TimeGrid.regular(2))
+
+
 def test_time_grid_invariants():
     assert TimeGrid.regular(4).horizon == 4
     with pytest.raises(ValueError, match="strictly increasing"):

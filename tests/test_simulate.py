@@ -335,11 +335,12 @@ STUDY_KW = dict(
         ({"mean_level": "bogus"}, "'bogus'"),
         ({"mean_level": float("nan")}, "finite, got nan"),
         ({"seed": (3, -1)}, r"got \(3, -1\)"),
+        ({"alpha_split": (0.01, 0.02, 0.03)}, "alpha_split needs two levels"),
     ],
     ids=[
         "repeated-test", "no-tests", "no-designs", "mode", "coeff-law", "threads-0",
         "mode-threads-2", "even-n-terms", "no-draws", "mean-level-text", "mean-level-nan",
-        "negative-seed",
+        "negative-seed", "alpha-split-three",
     ],
 )
 def test_bad_study_setting_rejected_before_any_replication(monkeypatch, setting, message):
@@ -354,12 +355,14 @@ def test_bad_study_setting_rejected_before_any_replication(monkeypatch, setting,
 @pytest.mark.parametrize(
     "setting",
     [{"reps": 2.7}, {"reps": "3"}, {"designs": [1.5]}, {"n_perms": 19.0}, {"group_sizes": (3, 3, 3.5)},
-     {"horizon": 8.0}, {"n_terms": 3.0}, {"n_draws": "8"}, {"seed": (2, 0.5)}],
+     {"horizon": 8.0}, {"n_terms": 3.0}, {"n_draws": "8"}, {"seed": (2, 0.5)},
+     {"designs": [True]}, {"reps": True}, {"group_sizes": (3, True, 3)}, {"seed": True}],
     ids=["reps-float", "reps-text", "design-float", "perms-float", "size-float", "horizon-float",
-         "terms-float", "draws-text", "seed-float"],
+         "terms-float", "draws-text", "seed-float", "design-bool", "reps-bool", "size-bool", "seed-bool"],
 )
 def test_study_counts_must_be_integers(monkeypatch, setting):
-    # a truncated count would run a different study than the one asked for
+    # a truncated count, or True read as 1, would run a different study
+    # than the one asked for
     def no_replication(*args):
         raise AssertionError("a replication ran")
 
