@@ -28,9 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .measure import MeasureDraws
-from .rng import Seed, _index, substream
+from .rng import Seed, substream
 from .samples import pooled_by_group
-from .stats import _identity_assignment, _plan_matrix, permutation_statistics
+from .stats import _checked_sizes, _identity_assignment, _plan_matrix, permutation_statistics
 
 DECISION_MODES = ("randomized", "conservative")
 
@@ -111,12 +111,9 @@ def number_of_assignments(group_sizes: Sequence[int]) -> int:
     return total
 
 
-def _checked_sizes(group_sizes: Sequence[int]) -> tuple[int, ...]:
-    sizes = tuple(_index(n) for n in group_sizes)
-    if len(sizes) < 2:
-        raise ValueError("need at least two groups to permute")
-    if any(n < 1 for n in sizes):
-        raise ValueError("every group must have at least one member")
+def _int8_sizes(group_sizes: Sequence[int]) -> tuple[int, ...]:
+    """:func:`stats._checked_sizes` for an int8 plan matrix: at most 127 groups."""
+    sizes = _checked_sizes(group_sizes)
     if len(sizes) > 127:
         raise ValueError("more than 127 groups is unsupported")
     return sizes
@@ -148,7 +145,7 @@ def sampled_plan_matrix(group_sizes: Sequence[int], count: int, seed: Seed) -> n
     seed must be explicit: a default would share its stream with any
     other stage left at the same default, such as ``MeasureSpec.seed``.
     """
-    sizes = _checked_sizes(group_sizes)
+    sizes = _int8_sizes(group_sizes)
     if count is None or count < 1:
         raise ValueError("sampled mode needs a positive plan count")
     if seed is None:
@@ -180,7 +177,7 @@ def make_plans(
     elif mode == "exhaustive":
         if count is not None or seed is not None:
             raise ValueError("exhaustive mode takes no plan count or seed")
-        sizes = _checked_sizes(group_sizes)
+        sizes = _int8_sizes(group_sizes)
         total = number_of_assignments(sizes)
         if total > cap:
             raise ValueError(

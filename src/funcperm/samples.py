@@ -36,6 +36,9 @@ class SampleFormatError(ValueError):
 # missing ones.
 _LISTED_MISSING = 10
 
+# The largest group id: labels are held as int64.
+_MAX_GROUP_ID = int(np.iinfo(np.int64).max)
+
 
 def _missing_groups(labels: np.ndarray) -> tuple[list[int], int]:
     """The first ``_LISTED_MISSING`` group ids below the largest label that
@@ -221,7 +224,7 @@ def load_samples(source: Source) -> FunctionalSample:
             ) from None
         if group < 0:
             raise SampleFormatError(f"negative group id at row {row_no}")
-        if group > np.iinfo(np.int64).max:
+        if group > _MAX_GROUP_ID:
             raise SampleFormatError(f"group id beyond the int64 range at row {row_no}")
         # One float() pass and one finiteness test per row; a row that
         # fails either is rescanned token by token to locate the fault.

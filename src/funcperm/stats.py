@@ -30,9 +30,11 @@ Numerical contract:
   into packed uint64 words, one row per draw, so only comparisons decide
   it and no arithmetic touches a path value (draws must be finite).
   :func:`indicator_matrix` unpacks the words into a ``bool`` (N, L)
-  matrix; the CvM step counts each draw's paths from the words and
-  unpacks only the informative draws' words, straight into the float32
-  (N, L') ``hits`` matrix, so it never builds an (N, L) matrix;
+  matrix; the CvM step counts each draw's paths from the words and keeps
+  only the informative draws' words, N * L' / 8 bytes.  It unpacks them
+  one block of ``_CVM_DRAW_BLOCK`` draws at a time into one reused
+  float32 buffer, so it never builds an (N, L) or (N, L') matrix and its
+  memory does not grow with L;
 * draws whose pooled count is 0 or N are the same for every group under
   every plan, so they add exactly 0 and are dropped before the group
   counts; the average still divides by all L draws;
@@ -48,13 +50,17 @@ Numerical contract:
 * every statistic reduces the plans in the same blocks of rows, each
   holding at most ``_BLOCK_BYTES`` of bool label planes and statistic
   buffers (or one row), so no statistic's memory grows with Q.  In the
-  CvM step one product per block gives every mask word's counts, split
-  into the treatments' counts, and the control counts are the pooled
-  counts minus their sum, all exact integers; the float64 steps after
-  them run in row slices of ``_CVM_TAIL_BYTES`` and work row by row, so a
-  plan's cvm value depends neither on its block, its slice nor the word
-  layout.  mean_path and energy take float64 products per block, whose
-  rounding can depend on the block's row count;
+  CvM step one product per plan block and draw block gives every mask
+  word's counts, split into the treatments' counts, and the control
+  counts are the pooled counts minus their sum, all exact integers; the
+  float64 steps after them run in row slices of ``_CVM_TAIL_BYTES`` and
+  work row by row, adding each draw block's terms to the row totals in
+  draw order.  The draw-block edges depend only on L', so a plan's cvm
+  value depends neither on its block, its slice nor the word layout.
+  With L' above ``_CVM_DRAW_BLOCK`` the sum over draws is split at those
+  edges, so it can differ in the last bits from one unsplit sum; with
+  fewer it is one sum.  mean_path and energy take float64 products per
+  block, whose rounding can depend on the block's row count;
 * the remaining reductions use numpy's pairwise summation, so
   recomputing any statistic on the same inputs is bit-identical, and
   mathematically equivalent summation orders agree to better than 1e-12
@@ -72,6 +78,7 @@ from typing import Sequence
 import numpy as np
 
 from .measure import MeasureDraws
+from .rng import _index
 
 # float32 holds every integer up to 2**24 exactly, so group counts of at
 # most this many paths are exact in float32.
@@ -83,8 +90,14 @@ _MAX_EXACT_COUNT = 1 << 24
 _INDICATOR_BLOCK_BYTES = 1 << 20
 
 # Bytes that permutation_statistics may hold for one block of plan rows: bool
-# label planes and statistic buffers.  With the CvM tail a cvm call holds 8 MiB.
+# label planes and statistic buffers.  With the CvM tail a cvm call holds 8 MiB,
+# besides its packed indicator words and its draw-block buffer.
 _BLOCK_BYTES = 7 << 20
+
+# Informative draws per block of the CvM step: it unpacks this many draws'
+# indicator words at a time into a float32 (draws, N) buffer, so its memory
+# does not grow with the number of draws.
+_CVM_DRAW_BLOCK = 512
 
 # Bytes that the CvM step may hold for one slice of a block's rows in its
 # float64 tail: the control counts and the control and treatment means.
@@ -102,15 +115,21 @@ def _as_matrix(paths) -> np.ndarray:
     return out
 
 
+def _checked_sizes(group_sizes: Sequence[int]) -> tuple[int, ...]:
+    """Group sizes as ints: at least two groups, each of at least one path."""
+    sizes = tuple(_index(n) for n in group_sizes)
+    if len(sizes) < 2:
+        raise ValueError("need a control group and at least one treatment group")
+    if any(n < 1 for n in sizes):
+        raise ValueError("every group needs at least one path")
+    return sizes
+
+
 def _check_groups(groups: Sequence[np.ndarray]) -> list[np.ndarray]:
     mats = [_as_matrix(g) for g in groups]
-    if len(mats) < 2:
-        raise ValueError("need a control group and at least one treatment group")
-    width = mats[0].shape[1]
-    if any(m.shape[1] != width for m in mats):
+    if len({m.shape[1] for m in mats}) > 1:
         raise ValueError("all groups must share the same grid width")
-    if any(m.shape[0] < 1 for m in mats):
-        raise ValueError("every group needs at least one path")
+    _checked_sizes([len(m) for m in mats])
     return mats
 
 
@@ -147,13 +166,12 @@ def _indicator_words(paths, zvalues) -> np.ndarray:
     acc = np.full((n_draws, words), np.iinfo(np.uint64).max, dtype=np.uint64)
     acc[:, -1] = (1 << (n_paths - 64 * (words - 1))) - 1
     path_cols = np.ascontiguousarray(paths.T)
-    draw_cols = np.ascontiguousarray(zvalues.T)
     # per grid point: its table and about eight int64 or float64 sort and
     # index arrays of one entry per path or draw
     block = max(1, _INDICATOR_BLOCK_BYTES // (8 * (words * (n_paths + 1) + 8 * (n_paths + n_draws))))
     for start in range(0, width, block):
         x = path_cols[start:start + block]
-        z = draw_cols[start:start + block]
+        z = np.ascontiguousarray(zvalues[:, start:start + block].T)
         n_points = x.shape[0]
         point = np.arange(n_points)[:, None]
         x_order = np.argsort(x, axis=1)
@@ -317,20 +335,20 @@ def _plan_matrix(plans, group_sizes: Sequence[int]) -> np.ndarray:
 
 
 def _cvm_hits(pooled: np.ndarray, zvalues) -> tuple[np.ndarray, np.ndarray]:
-    """The CvM step's float32 (N, L') indicator of the informative draws,
-    C-ordered, and its float32 column sums.
+    """The CvM step's (L', ceil(N/64)) uint64 packed indicator words of the
+    informative draws, rows of :func:`indicator_matrix`'s words in draw
+    order, and their float32 pooled counts.
 
     A draw every path is below, or none is, has the same CDF in every
     group under every plan: it adds exactly 0 but still counts in L, so
-    it is dropped here.  The pooled counts come from the packed words of
-    :func:`indicator_matrix` through a byte popcount table, and only the
-    informative draws' words are unpacked, so no (N, L) matrix is built.
+    it is dropped here.  The pooled counts come from the packed words
+    through a byte popcount table.  The words stay packed, N * L' / 8
+    bytes; :func:`_cvm_step` unpacks them one draw block at a time.
     """
     words = _indicator_words(pooled, zvalues)
     pooled_count = _POPCOUNT[words.view(np.uint8)].sum(axis=1)
     varying = (pooled_count > 0) & (pooled_count < len(pooled))
-    hits = _unpack_words(words[varying], len(pooled)).T.astype(np.float32, order="C")
-    return hits, pooled_count[varying].astype(np.float32)
+    return words[varying], pooled_count[varying].astype(np.float32)
 
 
 def _cvm_base(sizes) -> int:
@@ -353,13 +371,17 @@ def _cvm_block_rows(n_treat: int, n_paths: int, n_cols: int, n_words: int | None
     statistic: as many as fit ``_BLOCK_BYTES`` with the bool label planes
     and the per-row buffers of each of ``statistics``.  cvm has ``n_words``
     mask words per row (by default two treatments to a word) and ``n_cols``
-    informative draws; mean_path has ``width`` grid points."""
+    informative draws, of which it counts one draw block of at most
+    ``_CVM_DRAW_BLOCK`` at a time; mean_path has ``width`` grid points.
+    The CvM step's float32 draw-block buffer is a fixed cost outside the
+    budget."""
     if n_words is None:
         n_words = -(-n_treat // 2)
     row_bytes = (n_treat + 1) * n_paths
     if "cvm" in statistics:
-        # float32 mask words and treatment counts (the product fills the latter)
-        row_bytes += 4 * n_words * n_paths + 4 * n_treat * n_cols
+        # float32 mask words and one draw block's treatment counts (the
+        # product fills the latter)
+        row_bytes += 4 * n_words * n_paths + 4 * n_treat * min(n_cols, _CVM_DRAW_BLOCK)
     if "mean_path" in statistics:
         # one float64 mask, the control's and one treatment's float64 means
         row_bytes += 8 * (n_paths + 2 * width)
@@ -372,7 +394,7 @@ def _cvm_block_rows(n_treat: int, n_paths: int, n_cols: int, n_words: int | None
 def _cvm_tail_rows(n_cols: int) -> int:
     """Plan rows per slice of the CvM float64 tail: as many as fit
     ``_CVM_TAIL_BYTES`` of float32 control counts and float64 control and
-    treatment means."""
+    treatment means over ``n_cols`` draws, one draw block's."""
     return max(1, _CVM_TAIL_BYTES // (20 * max(1, n_cols)))
 
 
@@ -408,55 +430,68 @@ def _add_contrasts(total: np.ndarray, group_sums, sizes, width: int) -> None:
         del sums, contrast  # free them before the next treatment's are built
 
 
-def _cvm_step(sizes, hits: np.ndarray, pooled_hits, width: int, base: int, n_words: int, block: int):
+def _cvm_step(sizes, words: np.ndarray, pooled_hits, n_paths: int, width: int, base: int,
+              n_words: int, block: int):
     """The CvM reduction of a block's label planes into its ``total``,
     as ``step(labels, total)``.
 
-    ``hits`` is the float32 (N, L') indicator of the informative draws and
-    ``pooled_hits`` its column sums; ``width`` counts every draw.  The
-    treatment planes are packed into ``n_words`` float32 words per row, two
-    to a word with weight ``base`` (see :func:`_cvm_base`) or one if it is
-    0, for one product with ``hits``; the counts are split back out of the
-    words exactly.  The float64 tail runs in row slices that fit
-    ``_CVM_TAIL_BYTES``.  The word and count buffers, for ``block`` rows,
+    ``words`` are the informative draws' packed indicator words and
+    ``pooled_hits`` their pooled counts (see :func:`_cvm_hits`); ``width``
+    counts every draw.  The treatment planes are packed into ``n_words``
+    float32 mask words per row, two to a word with weight ``base`` (see
+    :func:`_cvm_base`) or one if it is 0.  The draws are taken in blocks
+    of ``_CVM_DRAW_BLOCK``, in draw order: a block's words are unpacked
+    into one float32 (draws, N) buffer, one product with it gives the mask
+    words' counts, which are split back out exactly, and the float64 tail
+    adds the block's terms to the row totals, in row slices that fit
+    ``_CVM_TAIL_BYTES``.  The draw-block edges depend only on L', so a
+    plan's value is a fixed function of its partition, whose sum over
+    draws is split at those edges.  The mask-word, count and draw buffers
     are allocated once and reused by every block.
     """
-    n_treat, (n_paths, n_cols) = len(sizes) - 1, hits.shape
+    n_treat, n_cols = len(sizes) - 1, len(words)
     # treatments 1..n_words take weight 1 in words 0..n_words - 1; the rest
     # take weight B in words 0..n_high - 1, the mixed words
     n_high = n_treat - n_words
-    step = _cvm_tail_rows(n_cols)
+    n_draws = min(n_cols, _CVM_DRAW_BLOCK)
+    step = _cvm_tail_rows(n_draws)
     packed = np.empty(n_words * block * n_paths, dtype=np.float32)
-    buffer = np.empty(n_treat * block * n_cols, dtype=np.float32)
+    buffer = np.empty(n_treat * block * n_draws, dtype=np.float32)
+    hits = np.empty((n_draws, n_paths), dtype=np.float32)
 
     def reduce(labels: np.ndarray, total: np.ndarray) -> None:
         n_rows = labels.shape[1]
-        words = packed[:n_words * n_rows * n_paths].reshape(n_words, n_rows, n_paths)
+        masks = packed[:n_words * n_rows * n_paths].reshape(n_words, n_rows, n_paths)
         # weight-B treatments first, so that they set the mixed words
         for s in range(n_treat, 0, -1):
             if s > n_words:
-                np.multiply(labels[s], np.float32(base), out=words[s - 1 - n_words])
+                np.multiply(labels[s], np.float32(base), out=masks[s - 1 - n_words])
             elif s > n_high:
-                np.copyto(words[s - 1], labels[s])
+                np.copyto(masks[s - 1], labels[s])
             else:
-                np.add(words[s - 1], labels[s], out=words[s - 1])
-        # the product fills the leading n_words planes of the counts
-        counts = buffer[:n_treat * n_rows * n_cols].reshape(n_treat, n_rows, n_cols)
-        product = counts[:n_words].reshape(n_words * n_rows, n_cols)
-        np.matmul(words.reshape(n_words * n_rows, n_paths), hits, out=product)
-        for lo in range(0, n_rows, step):
-            treated = counts[:, lo:lo + step]
-            if n_high:
-                # a mixed word's x = c_a + B c_b: x / B has integer part c_b
-                # and fraction c_a / B, each step exact
-                mixed, high = treated[:n_high], treated[n_words:]
-                np.multiply(mixed, np.float32(1 / base), out=mixed)
-                np.floor(mixed, out=high)
-                np.subtract(mixed, high, out=mixed)
-                np.multiply(mixed, np.float32(base), out=mixed)
-            control = treated.sum(axis=0)
-            np.subtract(pooled_hits, control, out=control)
-            _add_contrasts(total[lo:lo + step], (control, *treated), sizes, width)
+                np.add(masks[s - 1], labels[s], out=masks[s - 1])
+        masks = masks.reshape(n_words * n_rows, n_paths)
+        for first in range(0, n_cols, _CVM_DRAW_BLOCK):
+            last = min(first + _CVM_DRAW_BLOCK, n_cols)
+            block_hits = hits[:last - first]
+            np.copyto(block_hits, _unpack_words(words[first:last], n_paths))
+            # the product fills the leading n_words planes of the counts
+            counts = buffer[:n_treat * n_rows * (last - first)].reshape(n_treat, n_rows, last - first)
+            product = counts[:n_words].reshape(n_words * n_rows, last - first)
+            np.matmul(masks, block_hits.T, out=product)
+            for lo in range(0, n_rows, step):
+                treated = counts[:, lo:lo + step]
+                if n_high:
+                    # a mixed word's x = c_a + B c_b: x / B has integer part
+                    # c_b and fraction c_a / B, each step exact
+                    mixed, high = treated[:n_high], treated[n_words:]
+                    np.multiply(mixed, np.float32(1 / base), out=mixed)
+                    np.floor(mixed, out=high)
+                    np.subtract(mixed, high, out=mixed)
+                    np.multiply(mixed, np.float32(base), out=mixed)
+                control = treated.sum(axis=0)
+                np.subtract(pooled_hits[first:last], control, out=control)
+                _add_contrasts(total[lo:lo + step], (control, *treated), sizes, width)
 
     return reduce
 
@@ -489,6 +524,9 @@ def permutation_statistics(
     sequence of objects with an ``assignment`` row or a (Q, N) matrix of
     group labels.  All plans are evaluated against the same ``draws``,
     which is what makes the sampled test exact for any number of draws.
+    Before any work it raises ValueError unless there are at least two
+    groups, each of at least one path, and ``pooled`` is a 2-d matrix of
+    ``sum(group_sizes)`` rows.
 
     One loop takes the plans in blocks of rows (see ``_cvm_block_rows``):
     per block, :func:`_label_planes` builds the group labels and checks the
@@ -503,24 +541,26 @@ def permutation_statistics(
     unknown = set(statistics) - set(PERMUTATION_STATISTICS)
     if unknown:
         raise ValueError(f"unknown statistics {sorted(unknown)}")
-    sizes = tuple(int(n) for n in group_sizes)
+    sizes = _checked_sizes(group_sizes)
     if "cvm" in statistics:
         if draws is None:
             raise ValueError("the cvm statistic needs measure draws")
         if sum(sizes) > _MAX_EXACT_COUNT:
             raise ValueError("the cvm statistic supports at most 2**24 pooled paths")
-    pooled = np.asarray(pooled, dtype=float)
+    pooled = _as_matrix(pooled)
+    if len(pooled) != sum(sizes):
+        raise ValueError(f"pooled paths have {len(pooled)} rows, the group sizes sum to {sum(sizes)}")
     matrix = _plan_matrix(plans, sizes)
     (n_plans, n_paths), width = matrix.shape, pooled.shape[1]
     n_treat, n_cols, n_words = len(sizes) - 1, 0, 0
     if "cvm" in statistics:
-        hits, pooled_hits = _cvm_hits(pooled, draws.values)
+        words, pooled_hits = _cvm_hits(pooled, draws.values)
         base = _cvm_base(sizes)
-        n_cols, n_words = hits.shape[1], (-(-n_treat // 2) if base else n_treat)
+        n_cols, n_words = len(words), (-(-n_treat // 2) if base else n_treat)
     block = max(1, min(n_plans, _cvm_block_rows(n_treat, n_paths, n_cols, n_words, statistics, width)))
     steps = {}
     if "cvm" in statistics:
-        steps["cvm"] = _cvm_step(sizes, hits, pooled_hits, len(draws.values), base, n_words, block)
+        steps["cvm"] = _cvm_step(sizes, words, pooled_hits, n_paths, len(draws.values), base, n_words, block)
     if "mean_path" in statistics:
         steps["mean_path"] = lambda labels, total: _add_contrasts(
             total, (plane.astype(np.float64) @ pooled for plane in labels), sizes, width

@@ -719,13 +719,11 @@ def test_engine_cvm_peak_memory_independent_of_q():
     assert peaks[8000] <= 1.1 * peaks[2000]
 
 
-def test_engine_cvm_peak_memory_at_cohort_shape():
-    # N = 1492 paths in 5 groups, J = 48, L = 4000, Q = 500: about half the
-    # draws are informative, as in the application.  The step holds the
-    # float32 (N, L') hits and, besides them, at most one block of masks and
-    # counts and one slice of its float64 tail; it builds no (N, L) matrix
+def _cohort_case(n_draws):
+    """N = 1492 paths in 5 groups, J = 48, Q = 500 plans and ``n_draws``
+    draws, about half of them informative, as in the application."""
     rng = np.random.default_rng(31)
-    sizes, width, n_draws, q = (304, 297, 297, 297, 297), 48, 4000, 500
+    sizes, width, q = (304, 297, 297, 297, 297), 48, 500
     n = sum(sizes)
     noise = rng.normal(size=(n, width))
     for t in range(1, width):
@@ -734,16 +732,59 @@ def test_engine_cvm_peak_memory_at_cohort_shape():
     pooled = 1.6 + 0.6 * np.sin(angle) + 0.3 * np.sin(2.0 * angle) + 0.5 * noise
     spec = MeasureSpec(n_terms=19, mean_level=median_peak(pooled), seed=(31, 1))
     draws = draw_functions(spec, TimeGrid.regular(width), n_draws)
-    hits_bytes = stats_module._cvm_hits(pooled, draws.values)[0].nbytes
-    assert 0.3 * n_draws < hits_bytes / (4 * n) < 0.7 * n_draws
-    matrix = sampled_plan_matrix(sizes, q, seed=(31, 2))
+    return pooled, sizes, sampled_plan_matrix(sizes, q, seed=(31, 2)), draws
+
+
+def _cvm_peak_bytes(pooled, sizes, matrix, draws) -> int:
     tracemalloc.start()
     try:
         permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.8 * hits_bytes
+    return peak
+
+
+def test_engine_cvm_peak_memory_at_cohort_shape():
+    # L = 4000.  The step holds the informative draws' packed uint64 words
+    # and, besides them, one draw block (its float32 buffer and the uint8
+    # bits unpacked into it), at most one block of masks and counts and one
+    # slice of its float64 tail; it builds no (N, L) or (N, L') matrix
+    pooled, sizes, matrix, draws = _cohort_case(4000)
+    n, n_draws = len(pooled), len(draws.values)
+    words_bytes = stats_module._cvm_hits(pooled, draws.values)[0].nbytes
+    assert 0.3 * n_draws < words_bytes / (8 * -(-n // 64)) < 0.7 * n_draws
+    draw_block = 5 * stats_module._CVM_DRAW_BLOCK * n
+    budget = words_bytes + draw_block + stats_module._BLOCK_BYTES + stats_module._CVM_TAIL_BYTES
+    assert _cvm_peak_bytes(pooled, sizes, matrix, draws) <= 1.1 * budget
+
+
+def test_engine_cvm_peak_memory_flat_in_draw_count():
+    # the draws are built outside the trace; what grows with L inside it is
+    # only the packed words, N / 8 bytes per draw
+    peaks = {n_draws: _cvm_peak_bytes(*_cohort_case(n_draws)) for n_draws in (4000, 16000)}
+    assert peaks[16000] <= 1.2 * peaks[4000]
+
+
+@pytest.mark.parametrize("block_rows", [3, 7, 50])
+def test_engine_cvm_draw_blocks_are_fixed_in_draw_order(monkeypatch, block_rows):
+    # 7-draw blocks split the L' informative draws into several blocks, the
+    # last one short, in every plan block; their edges do not depend on the
+    # plan blocks, so the values are bit-identical across plan-block sizes,
+    # and within float64 rounding of one draw block
+    sizes = (6, 5, 7, 4)
+    pooled, draws, matrix = _cvm_case(sizes, 5, 120, 50, seed=30)
+    one_block = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
+    n_cols = len(stats_module._cvm_hits(pooled, draws.values)[0])
+    assert 2 * 7 < n_cols < stats_module._CVM_DRAW_BLOCK and n_cols % 7
+    monkeypatch.setattr(stats_module, "_CVM_DRAW_BLOCK", 7)
+    whole = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
+    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: block_rows)
+    blocked = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
+    assert blocked.tobytes() == whole.tobytes()
+    assert np.all(np.abs(blocked - one_block) <= 1e-15 * one_block)
+    groups = [pooled[:6], pooled[6:11], pooled[11:18], pooled[18:]]
+    assert blocked[0] == cvm_statistic_multi(groups, draws)
 
 
 def _engine_peak_bytes(statistic, sizes, width, q) -> int:
@@ -836,6 +877,35 @@ def test_engine_rejects_plan_violating_sizes():
     bad = np.array([[0, 0, 0, 1]], dtype=np.int8)
     with pytest.raises(ValueError, match="group sizes"):
         permutation_distributions(pooled, (2, 2), bad, ("mean_path",))
+
+
+# inputs the engine refuses before any work: (pooled, group sizes, message)
+_MALFORMED_ENGINE_INPUTS = {
+    "one group": (np.zeros((6, 4)), (6,), "need a control group and at least one treatment group"),
+    "empty group": (np.zeros((6, 4)), (0, 6), "every group needs at least one path"),
+    "row mismatch": (np.zeros((5, 4)), (3, 3), "pooled paths have 5 rows, the group sizes sum to 6"),
+    "1-d pooled": (np.zeros(6), (3, 3), "paths must be a 2-d matrix"),
+}
+
+
+@pytest.mark.parametrize("statistic", ["cvm", "mean_path", "energy"])
+@pytest.mark.parametrize("case", list(_MALFORMED_ENGINE_INPUTS))
+def test_engine_refuses_malformed_groups_and_pooled(case, statistic):
+    # the plan gives each group its size, so only the groups or the pooled
+    # matrix are at fault; the messages are those of the standalone checks
+    pooled, sizes, message = _MALFORMED_ENGINE_INPUTS[case]
+    plan = np.repeat(np.arange(len(sizes)), sizes)[None].astype(np.int8)
+    draws = MeasureDraws(values=np.random.default_rng(32).normal(size=(8, 4)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        permutation_statistics(pooled, sizes, plan, (statistic,), draws)
+
+
+def test_engine_without_plans_returns_empty_arrays():
+    sizes = (3, 4)
+    pooled, draws, _ = _cvm_case(sizes, 3, 8, 1, seed=33)
+    names = ("cvm", "mean_path", "energy")
+    out = permutation_statistics(pooled, sizes, np.zeros((0, 7), np.int8), names, draws)
+    assert {name: stats.shape for name, stats in out.items()} == {name: (0,) for name in names}
 
 
 def test_conservative_rule_never_exceeds_level_under_null():

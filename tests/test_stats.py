@@ -151,10 +151,10 @@ def test_indicator_matrix_non_finite_paths_and_signed_zeros():
 
 @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 130])
 def test_cvm_hits_from_packed_words_equal_indicator_columns(n_paths):
-    # the CvM step counts and unpacks the packed words itself; its hits and
-    # pooled counts must be the informative columns of indicator_matrix and
-    # their sums, across word boundaries, with ties, NaN and +-inf paths
-    # and signed zeros
+    # the CvM step counts the packed words and keeps the informative draws'
+    # words; unpacked, they and the pooled counts must be the informative
+    # columns of indicator_matrix and their sums, across word boundaries,
+    # with ties, NaN and +-inf paths and signed zeros
     rng = np.random.default_rng(n_paths)
     paths, zvals = _dyadic_case(n_paths, 3, seed=n_paths + 5)
     special = [[np.nan, 0.0, 0.5], [np.inf, -0.0, 0.0], [-np.inf, 1.5, -np.inf]]
@@ -168,9 +168,11 @@ def test_cvm_hits_from_packed_words_equal_indicator_columns(n_paths):
     below = indicator_matrix(paths, zvals)
     count = below.sum(axis=0)
     varying = (count > 0) & (count < n_paths)
-    hits, pooled_hits = stats._cvm_hits(paths, zvals)
-    assert hits.dtype == np.float32 and hits.flags.c_contiguous
-    assert np.array_equal(hits, below[:, varying].astype(np.float32))
+    words, pooled_hits = stats._cvm_hits(paths, zvals)
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
+    assert words.shape == (varying.sum(), -(-n_paths // 64))
+    hits = stats._unpack_words(words, n_paths).T
+    assert np.array_equal(hits, below[:, varying])
     assert pooled_hits.dtype == np.float32
     assert np.array_equal(pooled_hits, count[varying].astype(np.float32))
     assert 0 < varying.sum() < len(zvals) or n_paths == 1
