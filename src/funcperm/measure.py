@@ -63,7 +63,12 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class MeasureDraws:
-    """Realized random functions evaluated on a grid, one per row."""
+    """Realized random functions evaluated on a grid, one per row.
+
+    ``values`` becomes a read-only array.  A read-only array that owns its
+    data is kept as it is; any other is copied, so that a caller's array
+    changed later does not change the draws.
+    """
 
     values: np.ndarray  # (L, J)
     spec: MeasureSpec | None = None
@@ -74,8 +79,9 @@ class MeasureDraws:
             raise ValueError("draws must form a nonempty 2-d matrix")
         if not np.all(np.isfinite(values)):
             raise ValueError("draws contain non-finite values")
-        values = np.array(values)
-        values.flags.writeable = False
+        if values.flags.writeable or not values.flags.owndata:
+            values = np.array(values)
+            values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -170,8 +176,10 @@ def draw_functions(spec: MeasureSpec, grid: TimeGrid, count: int) -> MeasureDraw
     matrix, bit for bit, because every draw comes from the one stream keyed
     by ``spec.seed``; a longer run extends a shorter one.
     """
-    coeffs = draw_coefficients(spec, count)
-    return MeasureDraws(values=coeffs @ basis_matrix(spec.n_terms, grid), spec=spec)
+    values = draw_coefficients(spec, count) @ basis_matrix(spec.n_terms, grid)
+    # read-only, so that MeasureDraws keeps this product without a copy
+    values.flags.writeable = False
+    return MeasureDraws(values=values, spec=spec)
 
 
 def pointwise_variance(spec: MeasureSpec, grid: TimeGrid) -> np.ndarray:

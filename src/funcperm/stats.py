@@ -47,20 +47,21 @@ Numerical contract:
   by B splits them exactly into c_b (integer part) and c_a (fraction).
   The counts become float64 before the division by the group size (N
   above 2**24 is rejected);
-* every statistic reduces the plans in the same blocks of rows, each
-  holding at most ``_BLOCK_BYTES`` of bool label planes and statistic
+* each statistic is one table entry that gives its bytes per plan row,
+  and all reduce the plans in the same blocks of rows, each holding at
+  most ``_BLOCK_BYTES`` of bool label planes and every statistic's
   buffers (or one row), so no statistic's memory grows with Q.  In the
   CvM step one product per plan block and draw block gives every mask
   word's counts, split into the treatments' counts, and the control
   counts are the pooled counts minus their sum, all exact integers; the
-  float64 steps after them run in row slices of ``_CVM_TAIL_BYTES`` and
-  work row by row, adding each draw block's terms to the row totals in
-  draw order.  The draw-block edges depend only on L', so a plan's cvm
-  value depends neither on its block, its slice nor the word layout.
-  With L' above ``_CVM_DRAW_BLOCK`` the sum over draws is split at those
-  edges, so it can differ in the last bits from one unsplit sum; with
-  fewer it is one sum.  mean_path and energy take float64 products per
-  block, whose rounding can depend on the block's row count;
+  float64 steps after them work row by row, adding each draw block's
+  terms to the row totals in draw order.  The draw-block edges depend
+  only on L', so a plan's cvm value depends neither on its block nor on
+  the word layout.  With L' above ``_CVM_DRAW_BLOCK`` the sum over draws
+  is split at those edges, so it can differ in the last bits from one
+  unsplit sum; with fewer it is one sum.  mean_path and energy take
+  float64 products per block, whose rounding can depend on the block's
+  row count;
 * the remaining reductions use numpy's pairwise summation, so
   recomputing any statistic on the same inputs is bit-identical, and
   mathematically equivalent summation orders agree to better than 1e-12
@@ -73,7 +74,9 @@ partition.
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -90,18 +93,15 @@ _MAX_EXACT_COUNT = 1 << 24
 _INDICATOR_BLOCK_BYTES = 1 << 20
 
 # Bytes that permutation_statistics may hold for one block of plan rows: bool
-# label planes and statistic buffers.  With the CvM tail a cvm call holds 8 MiB,
-# besides its packed indicator words and its draw-block buffer.
+# label planes and every statistic's buffers, the CvM step's float64 means
+# included.  A cvm call holds, besides, its packed indicator words and its
+# draw-block buffer.
 _BLOCK_BYTES = 7 << 20
 
 # Informative draws per block of the CvM step: it unpacks this many draws'
 # indicator words at a time into a float32 (draws, N) buffer, so its memory
 # does not grow with the number of draws.
 _CVM_DRAW_BLOCK = 512
-
-# Bytes that the CvM step may hold for one slice of a block's rows in its
-# float64 tail: the control counts and the control and treatment means.
-_CVM_TAIL_BYTES = 1 << 20
 
 # Set bits of every byte value, to count the paths below each draw from its
 # packed indicator words.
@@ -321,17 +321,20 @@ def energy_statistic(groups: Sequence[np.ndarray]) -> float:
     return _identity_plan_statistic("energy", groups)
 
 
-PERMUTATION_STATISTICS = ("cvm", "mean_path", "energy")
-
-
 def _plan_matrix(plans, group_sizes: Sequence[int]) -> np.ndarray:
-    if isinstance(plans, np.ndarray):
-        matrix = plans
-    else:
-        matrix = np.stack([p.assignment for p in plans])
-    if matrix.ndim != 2 or matrix.shape[1] != sum(group_sizes):
+    """The (Q, N) integer label matrix of ``plans``, such a matrix or
+    objects with an ``assignment`` row; anything else raises ValueError."""
+    refused = "plans must be an integer (Q, N) label matrix or plan objects"
+    if not isinstance(plans, np.ndarray):
+        try:
+            plans = np.stack([p.assignment for p in plans])
+        except AttributeError:
+            raise ValueError(refused) from None
+    if plans.dtype.kind not in "iu":
+        raise ValueError(refused)
+    if plans.ndim != 2 or plans.shape[1] != sum(group_sizes):
         raise ValueError("plans do not match the pooled sample length")
-    return matrix
+    return plans
 
 
 def _cvm_hits(pooled: np.ndarray, zvalues) -> tuple[np.ndarray, np.ndarray]:
@@ -365,37 +368,10 @@ def _cvm_base(sizes) -> int:
     return base if base * base <= _MAX_EXACT_COUNT else 0
 
 
-def _cvm_block_rows(n_treat: int, n_paths: int, n_cols: int, n_words: int | None = None,
-                    statistics: Sequence[str] = ("cvm",), width: int = 0) -> int:
-    """Plan rows per block of :func:`permutation_statistics`, for every
-    statistic: as many as fit ``_BLOCK_BYTES`` with the bool label planes
-    and the per-row buffers of each of ``statistics``.  cvm has ``n_words``
-    mask words per row (by default two treatments to a word) and ``n_cols``
-    informative draws, of which it counts one draw block of at most
-    ``_CVM_DRAW_BLOCK`` at a time; mean_path has ``width`` grid points.
-    The CvM step's float32 draw-block buffer is a fixed cost outside the
-    budget."""
-    if n_words is None:
-        n_words = -(-n_treat // 2)
-    row_bytes = (n_treat + 1) * n_paths
-    if "cvm" in statistics:
-        # float32 mask words and one draw block's treatment counts (the
-        # product fills the latter)
-        row_bytes += 4 * n_words * n_paths + 4 * n_treat * min(n_cols, _CVM_DRAW_BLOCK)
-    if "mean_path" in statistics:
-        # one float64 mask, the control's and one treatment's float64 means
-        row_bytes += 8 * (n_paths + 2 * width)
-    if "energy" in statistics:
-        # every float64 mask and its float64 row block (mask @ distances)
-        row_bytes += 16 * (n_treat + 1) * n_paths
+def _block_rows(row_bytes: int) -> int:
+    """Plan rows per block of :func:`permutation_statistics`: as many rows
+    of ``row_bytes`` as fit ``_BLOCK_BYTES``, and at least one."""
     return max(1, _BLOCK_BYTES // row_bytes)
-
-
-def _cvm_tail_rows(n_cols: int) -> int:
-    """Plan rows per slice of the CvM float64 tail: as many as fit
-    ``_CVM_TAIL_BYTES`` of float32 control counts and float64 control and
-    treatment means over ``n_cols`` draws, one draw block's."""
-    return max(1, _CVM_TAIL_BYTES // (20 * max(1, n_cols)))
 
 
 def _label_planes(rows: np.ndarray, sizes, planes: np.ndarray) -> np.ndarray:
@@ -430,31 +406,44 @@ def _add_contrasts(total: np.ndarray, group_sums, sizes, width: int) -> None:
         del sums, contrast  # free them before the next treatment's are built
 
 
-def _cvm_step(sizes, words: np.ndarray, pooled_hits, n_paths: int, width: int, base: int,
-              n_words: int, block: int):
-    """The CvM reduction of a block's label planes into its ``total``,
-    as ``step(labels, total)``.
+def _cvm_check(sizes, draws: MeasureDraws | None) -> None:
+    if draws is None:
+        raise ValueError("the cvm statistic needs measure draws")
+    if sum(sizes) > _MAX_EXACT_COUNT:
+        raise ValueError("the cvm statistic supports at most 2**24 pooled paths")
 
-    ``words`` are the informative draws' packed indicator words and
-    ``pooled_hits`` their pooled counts (see :func:`_cvm_hits`); ``width``
-    counts every draw.  The treatment planes are packed into ``n_words``
-    float32 mask words per row, two to a word with weight ``base`` (see
-    :func:`_cvm_base`) or one if it is 0.  The draws are taken in blocks
-    of ``_CVM_DRAW_BLOCK``, in draw order: a block's words are unpacked
-    into one float32 (draws, N) buffer, one product with it gives the mask
-    words' counts, which are split back out exactly, and the float64 tail
-    adds the block's terms to the row totals, in row slices that fit
-    ``_CVM_TAIL_BYTES``.  The draw-block edges depend only on L', so a
-    plan's value is a fixed function of its partition, whose sum over
-    draws is split at those edges.  The mask-word, count and draw buffers
-    are allocated once and reused by every block.
+
+def _cvm_prepare(pooled: np.ndarray, sizes, draws: MeasureDraws):
+    """A row holds float32 mask words (see :func:`_cvm_base`) and, for one
+    draw block (see :func:`_cvm_hits`), float32 treatment and control
+    counts and float64 control and treatment means."""
+    words, pooled_hits = _cvm_hits(pooled, draws.values)
+    base, n_treat = _cvm_base(sizes), len(sizes) - 1
+    n_words = -(-n_treat // 2) if base else n_treat
+    row_bytes = 4 * n_words * len(pooled) + (4 * n_treat + 20) * min(len(words), _CVM_DRAW_BLOCK)
+    return row_bytes, partial(_cvm_step, sizes, words, pooled_hits, len(draws.values), base, n_words)
+
+
+def _cvm_step(sizes, words: np.ndarray, pooled_hits, width: int, base: int, n_words: int, block: int):
+    """The CvM ``step(labels, total)``, whose mask-word, count and draw
+    buffers, for blocks of at most ``block`` rows, are allocated once.
+
+    ``words`` and ``pooled_hits`` are the informative draws' packed
+    indicator words and pooled counts; ``width`` counts every draw.  The
+    treatment planes are packed into ``n_words`` float32 mask words per
+    row, two to a word with weight ``base`` or one if it is 0.  The draws
+    are taken in blocks of ``_CVM_DRAW_BLOCK``, in draw order: a block's
+    words are unpacked into one float32 (draws, N) buffer, one product
+    with it gives the mask words' counts, which are split back out
+    exactly, and the float64 steps add the block's terms to the totals
+    row by row.  The draw-block edges depend only on L', so a plan's value
+    is a fixed function of its partition.
     """
-    n_treat, n_cols = len(sizes) - 1, len(words)
+    (n_cols, _), n_paths, n_treat = words.shape, sum(sizes), len(sizes) - 1
     # treatments 1..n_words take weight 1 in words 0..n_words - 1; the rest
     # take weight B in words 0..n_high - 1, the mixed words
     n_high = n_treat - n_words
     n_draws = min(n_cols, _CVM_DRAW_BLOCK)
-    step = _cvm_tail_rows(n_draws)
     packed = np.empty(n_words * block * n_paths, dtype=np.float32)
     buffer = np.empty(n_treat * block * n_draws, dtype=np.float32)
     hits = np.empty((n_draws, n_paths), dtype=np.float32)
@@ -477,37 +466,70 @@ def _cvm_step(sizes, words: np.ndarray, pooled_hits, n_paths: int, width: int, b
             np.copyto(block_hits, _unpack_words(words[first:last], n_paths))
             # the product fills the leading n_words planes of the counts
             counts = buffer[:n_treat * n_rows * (last - first)].reshape(n_treat, n_rows, last - first)
-            product = counts[:n_words].reshape(n_words * n_rows, last - first)
-            np.matmul(masks, block_hits.T, out=product)
-            for lo in range(0, n_rows, step):
-                treated = counts[:, lo:lo + step]
-                if n_high:
-                    # a mixed word's x = c_a + B c_b: x / B has integer part
-                    # c_b and fraction c_a / B, each step exact
-                    mixed, high = treated[:n_high], treated[n_words:]
-                    np.multiply(mixed, np.float32(1 / base), out=mixed)
-                    np.floor(mixed, out=high)
-                    np.subtract(mixed, high, out=mixed)
-                    np.multiply(mixed, np.float32(base), out=mixed)
-                control = treated.sum(axis=0)
-                np.subtract(pooled_hits[first:last], control, out=control)
-                _add_contrasts(total[lo:lo + step], (control, *treated), sizes, width)
+            np.matmul(masks, block_hits.T, out=counts[:n_words].reshape(n_words * n_rows, last - first))
+            if n_high:
+                # a mixed word's x = c_a + B c_b: x / B has integer part c_b
+                # and fraction c_a / B, each step exact
+                mixed, high = counts[:n_high], counts[n_words:]
+                np.multiply(mixed, np.float32(1 / base), out=mixed)
+                np.floor(mixed, out=high)
+                np.subtract(mixed, high, out=mixed)
+                np.multiply(mixed, np.float32(base), out=mixed)
+            control = counts.sum(axis=0)
+            np.subtract(pooled_hits[first:last], control, out=control)
+            _add_contrasts(total, (control, *counts), sizes, width)
 
     return reduce
 
 
-def _distance_contrast(labels: np.ndarray, sizes, dist: np.ndarray, total: np.ndarray) -> None:
-    """Add to ``total``, per row, the energy sum over treatments of
-    distance-kernel contrasts, from a block's bool label planes."""
-    masks = labels.astype(np.float64)
-    rows = [mask @ dist for mask in masks]
-    within = [np.einsum("qn,qn->q", rows[s], masks[s]) / sizes[s] ** 2 for s in range(len(sizes))]
-    n0 = sizes[0]
-    for s in range(1, len(sizes)):
-        cross = np.einsum("qn,qn->q", rows[0], masks[s]) / (n0 * sizes[s])
-        total += n0 * sizes[s] / (n0 + sizes[s]) * (2.0 * cross - within[0] - within[s])
-    # Clip away negative rounding residue from exactly-zero configurations.
-    np.maximum(total, 0.0, out=total)
+def _mean_path_prepare(pooled: np.ndarray, sizes, draws):
+    """Group sums are float64 mask products with the pooled paths; a row
+    holds one float64 mask and the control's and one treatment's means."""
+    width = pooled.shape[1]
+
+    def step(labels: np.ndarray, total: np.ndarray) -> None:
+        _add_contrasts(total, (plane.astype(np.float64) @ pooled for plane in labels), sizes, width)
+
+    return 8 * (len(pooled) + 2 * width), lambda block: step
+
+
+def _energy_prepare(pooled: np.ndarray, sizes, draws):
+    """Distance-kernel contrasts from the pooled distance matrix; a row
+    holds every float64 mask and its float64 row block (mask @ distances)."""
+    dist, n0 = pairwise_distances(pooled), sizes[0]
+
+    def step(labels: np.ndarray, total: np.ndarray) -> None:
+        masks = labels.astype(np.float64)
+        rows = [mask @ dist for mask in masks]
+        within = [np.einsum("qn,qn->q", rows[s], masks[s]) / sizes[s] ** 2 for s in range(len(sizes))]
+        for s in range(1, len(sizes)):
+            cross = np.einsum("qn,qn->q", rows[0], masks[s]) / (n0 * sizes[s])
+            total += n0 * sizes[s] / (n0 + sizes[s]) * (2.0 * cross - within[0] - within[s])
+        # Clip away negative rounding residue from exactly-zero configurations.
+        np.maximum(total, 0.0, out=total)
+
+    return 16 * len(sizes) * len(pooled), lambda block: step
+
+
+@dataclass(frozen=True)
+class _Statistic:
+    """One statistic of :func:`permutation_statistics`: ``check(sizes,
+    draws)`` raises ValueError if it cannot be taken; ``prepare(pooled,
+    sizes, draws)`` returns its bytes per plan row and ``bind(block)``,
+    which allocates its buffers for blocks of at most ``block`` rows and
+    returns ``step(labels, total)``, adding a block's values to ``total``."""
+
+    prepare: Callable[[np.ndarray, tuple[int, ...], MeasureDraws | None], tuple[int, Callable]]
+    check: Callable[[tuple[int, ...], MeasureDraws | None], None] = lambda sizes, draws: None
+
+
+_STATISTICS = {
+    "cvm": _Statistic(_cvm_prepare, _cvm_check),
+    "mean_path": _Statistic(_mean_path_prepare),
+    "energy": _Statistic(_energy_prepare),
+}
+
+PERMUTATION_STATISTICS = tuple(_STATISTICS)
 
 
 def permutation_statistics(
@@ -520,54 +542,42 @@ def permutation_statistics(
     """Evaluate the requested statistics under every plan at once.
 
     ``pooled`` must hold the rows in group-block order so that the
-    identity assignment reproduces the observed grouping.  ``plans`` is a
-    sequence of objects with an ``assignment`` row or a (Q, N) matrix of
-    group labels.  All plans are evaluated against the same ``draws``,
-    which is what makes the sampled test exact for any number of draws.
-    Before any work it raises ValueError unless there are at least two
-    groups, each of at least one path, and ``pooled`` is a 2-d matrix of
-    ``sum(group_sizes)`` rows.
+    identity assignment reproduces the observed grouping.  ``plans`` is an
+    integer (Q, N) matrix of group labels or a sequence of objects with an
+    ``assignment`` row.  All plans are evaluated against the same
+    ``draws``, which is what makes the sampled test exact for any number
+    of draws.  Before any work it raises ValueError unless there are at
+    least two groups, none empty, every requested statistic's check passes
+    (cvm needs draws and at most 2**24 pooled paths, for exact float32
+    counts), ``pooled`` is a 2-d matrix of ``sum(group_sizes)`` rows and
+    ``plans`` is a matrix or plan objects as above.
 
-    One loop takes the plans in blocks of rows (see ``_cvm_block_rows``):
-    per block, :func:`_label_planes` builds the group labels and checks the
-    plan sizes, for every statistic and for a call with none, and each
-    requested statistic reduces the block with a few matrix products into
-    its slice of the (Q,) result.  Group masks hold exact 0/1 values, so
-    CDF counts are exact integers and a cvm value is a fixed function of
-    the partition; a mean_path or energy value's last bits may depend on
-    its block's row count.  The cvm statistic needs at most 2**24 pooled
-    paths, the most for which float32 counts are exact.
+    Each statistic is one entry of ``_STATISTICS``, prepared and returned
+    in that table's order.  One loop takes the plans in blocks of rows
+    (see :func:`_block_rows`): per block, :func:`_label_planes` builds the
+    group labels and checks the plan sizes, and each statistic's step
+    reduces the block with a few matrix products.  Group masks hold exact
+    0/1 values, so CDF counts are exact integers and a cvm value is a fixed
+    function of the partition; a mean_path or energy value's last bits may
+    depend on its block's row count.
     """
-    unknown = set(statistics) - set(PERMUTATION_STATISTICS)
+    unknown = set(statistics) - set(_STATISTICS)
     if unknown:
         raise ValueError(f"unknown statistics {sorted(unknown)}")
     sizes = _checked_sizes(group_sizes)
-    if "cvm" in statistics:
-        if draws is None:
-            raise ValueError("the cvm statistic needs measure draws")
-        if sum(sizes) > _MAX_EXACT_COUNT:
-            raise ValueError("the cvm statistic supports at most 2**24 pooled paths")
+    requested = {name: entry for name, entry in _STATISTICS.items() if name in statistics}
+    for entry in requested.values():
+        entry.check(sizes, draws)
     pooled = _as_matrix(pooled)
     if len(pooled) != sum(sizes):
         raise ValueError(f"pooled paths have {len(pooled)} rows, the group sizes sum to {sum(sizes)}")
     matrix = _plan_matrix(plans, sizes)
-    (n_plans, n_paths), width = matrix.shape, pooled.shape[1]
-    n_treat, n_cols, n_words = len(sizes) - 1, 0, 0
-    if "cvm" in statistics:
-        words, pooled_hits = _cvm_hits(pooled, draws.values)
-        base = _cvm_base(sizes)
-        n_cols, n_words = len(words), (-(-n_treat // 2) if base else n_treat)
-    block = max(1, min(n_plans, _cvm_block_rows(n_treat, n_paths, n_cols, n_words, statistics, width)))
-    steps = {}
-    if "cvm" in statistics:
-        steps["cvm"] = _cvm_step(sizes, words, pooled_hits, n_paths, len(draws.values), base, n_words, block)
-    if "mean_path" in statistics:
-        steps["mean_path"] = lambda labels, total: _add_contrasts(
-            total, (plane.astype(np.float64) @ pooled for plane in labels), sizes, width
-        )
-    if "energy" in statistics:
-        dist = pairwise_distances(pooled)
-        steps["energy"] = lambda labels, total: _distance_contrast(labels, sizes, dist, total)
+    prepared = {name: entry.prepare(pooled, sizes, draws) for name, entry in requested.items()}
+    n_plans, n_paths = matrix.shape
+    # the bool label planes, then every statistic's buffers
+    row_bytes = len(sizes) * n_paths + sum(row for row, _ in prepared.values())
+    block = max(1, min(n_plans, _block_rows(row_bytes)))
+    steps = {name: bind(block) for name, (_, bind) in prepared.items()}
     out = {name: np.zeros(n_plans) for name in steps}
     planes = np.empty(len(sizes) * block * n_paths, dtype=np.bool_)
     for start in range(0, n_plans, block):

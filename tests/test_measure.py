@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,3 +191,31 @@ def test_draws_validation():
         MeasureDraws(values=np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError, match="nonempty"):
         MeasureDraws(values=np.empty((0, 3)))
+
+
+def test_draws_copy_a_callers_array():
+    # a writeable array, and a read-only view of one, are copied: changing
+    # the caller's array afterwards leaves the draws as they were
+    values = np.arange(6.0).reshape(2, 3)
+    view = values.view()
+    view.flags.writeable = False
+    draws, from_view = MeasureDraws(values=values), MeasureDraws(values=view)
+    values[0, 0] = 99.0
+    assert draws.values.tolist() == from_view.values.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+    assert not draws.values.flags.writeable and not from_view.values.flags.writeable
+
+
+def test_draw_functions_holds_one_copy_of_the_draws():
+    # L = 16000, J = 48: the (L, J) product goes to MeasureDraws without a
+    # second copy, so at the peak it lives beside the (L, K) coefficients only
+    spec = MeasureSpec(n_terms=19, mean_level=1.0, seed=1)
+    grid = TimeGrid.regular(48)
+    draw_functions(spec, grid, 1)  # the cached basis is built outside the trace
+    tracemalloc.start()
+    try:
+        draws = draw_functions(spec, grid, 16000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draws.values.base is None and not draws.values.flags.writeable
+    assert peak <= 1.1 * (draws.values.nbytes + 8 * 16000 * 19)

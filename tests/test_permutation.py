@@ -477,7 +477,7 @@ def test_engine_repeated_partition_is_bit_identical(monkeypatch):
     # repeats the identity must reproduce its value exactly, wherever it
     # sits in the plan matrix; with 5-row CvM blocks the repeats sit in
     # the first, second and last (short) block
-    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: 5)
+    monkeypatch.setattr(stats_module, "_block_rows", lambda *shape: 5)
     rng = np.random.default_rng(15)
     sizes = (4, 3, 5)
     pooled = rng.normal(size=(sum(sizes), 6))
@@ -501,26 +501,24 @@ def _cvm_case(sizes, width, n_draws, q, seed):
     return pooled, draws, sampled_plan_matrix(sizes, q, seed=(seed, 2))
 
 
-@pytest.mark.parametrize("block_rows, tail_rows", [(7, None), (None, 3), (7, 3), (12, 5)])
-def test_engine_cvm_blocks_match_one_call(monkeypatch, block_rows, tail_rows):
-    # 50 plans in blocks of rows (the last one short), each block's float64
-    # tail in slices of rows (the last one short), against one block in one
-    # slice: the counts are exact integers and the float64 steps work row
-    # by row
+@pytest.mark.parametrize("block_rows", [7, 12])
+def test_engine_cvm_blocks_match_one_call(monkeypatch, block_rows):
+    # 50 plans in blocks of rows (the last one short) against one block: the
+    # counts are exact integers and the float64 steps work row by row
     sizes = (6, 5, 7, 4)
     pooled, draws, matrix = _cvm_case(sizes, 5, 40, 50, seed=21)
     whole = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
-    if block_rows:
-        monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: block_rows)
-    if tail_rows:
-        monkeypatch.setattr(stats_module, "_cvm_tail_rows", lambda n_cols: tail_rows)
+    monkeypatch.setattr(stats_module, "_block_rows", lambda *shape: block_rows)
     blocked = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
     assert blocked.tobytes() == whole.tobytes()
 
 
 def test_engine_cvm_block_rows_at_cohort_shape():
-    # 4 treatments, N = 1492 paths, L' = 2112 informative draws
-    assert stats_module._cvm_block_rows(4, 1492, 2112) >= 128
+    # 4 treatments, N = 1492 paths, about half of L = 4000 draws informative:
+    # the label planes and cvm's bytes per row leave at least 128 rows a block
+    pooled, sizes, _, draws = _cohort_case(4000)
+    row_bytes, _ = stats_module._STATISTICS["cvm"].prepare(pooled, sizes, draws)
+    assert stats_module._block_rows(len(sizes) * len(pooled) + row_bytes) >= 128
 
 
 @pytest.mark.parametrize("label", [0, 2])
@@ -528,7 +526,7 @@ def test_engine_cvm_checks_plan_sizes_in_every_block(monkeypatch, label):
     # a plan in the last block moves one path of group `label` to a label
     # that no group has; every statistic, and the call for none, shares the
     # blocks and their size check
-    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: 4)
+    monkeypatch.setattr(stats_module, "_block_rows", lambda *shape: 4)
     sizes = (3, 3, 3)
     pooled, draws, matrix = _cvm_case(sizes, 3, 20, 10, seed=22)
     matrix = matrix.copy()
@@ -626,7 +624,7 @@ def test_engine_cvm_packed_words_without_informative_draws(monkeypatch):
 def test_engine_cvm_packed_repeated_identity_in_later_blocks(monkeypatch):
     # 3-row blocks reuse the first block's buffers; the identity repeated in
     # the second, third and last (short) block keeps plan 0's bits
-    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: 3)
+    monkeypatch.setattr(stats_module, "_block_rows", lambda *shape: 3)
     sizes = (5, 4, 6, 3)
     pooled, draws, matrix = _cvm_case(sizes, 4, 60, 10, seed=27)
     repeats = [4, 8, 9]
@@ -748,14 +746,14 @@ def _cvm_peak_bytes(pooled, sizes, matrix, draws) -> int:
 def test_engine_cvm_peak_memory_at_cohort_shape():
     # L = 4000.  The step holds the informative draws' packed uint64 words
     # and, besides them, one draw block (its float32 buffer and the uint8
-    # bits unpacked into it), at most one block of masks and counts and one
-    # slice of its float64 tail; it builds no (N, L) or (N, L') matrix
+    # bits unpacked into it) and at most one block of masks, counts and
+    # float64 means; it builds no (N, L) or (N, L') matrix
     pooled, sizes, matrix, draws = _cohort_case(4000)
     n, n_draws = len(pooled), len(draws.values)
     words_bytes = stats_module._cvm_hits(pooled, draws.values)[0].nbytes
     assert 0.3 * n_draws < words_bytes / (8 * -(-n // 64)) < 0.7 * n_draws
     draw_block = 5 * stats_module._CVM_DRAW_BLOCK * n
-    budget = words_bytes + draw_block + stats_module._BLOCK_BYTES + stats_module._CVM_TAIL_BYTES
+    budget = words_bytes + draw_block + stats_module._BLOCK_BYTES
     assert _cvm_peak_bytes(pooled, sizes, matrix, draws) <= 1.1 * budget
 
 
@@ -779,7 +777,7 @@ def test_engine_cvm_draw_blocks_are_fixed_in_draw_order(monkeypatch, block_rows)
     assert 2 * 7 < n_cols < stats_module._CVM_DRAW_BLOCK and n_cols % 7
     monkeypatch.setattr(stats_module, "_CVM_DRAW_BLOCK", 7)
     whole = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
-    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: block_rows)
+    monkeypatch.setattr(stats_module, "_block_rows", lambda *shape: block_rows)
     blocked = permutation_statistics(pooled, sizes, matrix, ("cvm",), draws)["cvm"]
     assert blocked.tobytes() == whole.tobytes()
     assert np.all(np.abs(blocked - one_block) <= 1e-15 * one_block)
@@ -863,9 +861,9 @@ def test_engine_blocks_match_one_block_for_every_statistic(monkeypatch):
     sizes = (6, 5, 7, 4)
     pooled, draws, matrix = _cvm_case(sizes, 5, 40, 50, seed=29)
     names = ("cvm", "mean_path", "energy")
-    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: len(matrix))
+    monkeypatch.setattr(stats_module, "_block_rows", lambda *shape: len(matrix))
     whole = permutation_statistics(pooled, sizes, matrix, names, draws)
-    monkeypatch.setattr(stats_module, "_cvm_block_rows", lambda *shape: 7)
+    monkeypatch.setattr(stats_module, "_block_rows", lambda *shape: 7)
     blocked = permutation_statistics(pooled, sizes, matrix, names, draws)
     assert blocked["cvm"].tobytes() == whole["cvm"].tobytes()
     for name in ("mean_path", "energy"):
@@ -898,6 +896,39 @@ def test_engine_refuses_malformed_groups_and_pooled(case, statistic):
     draws = MeasureDraws(values=np.random.default_rng(32).normal(size=(8, 4)))
     with pytest.raises(ValueError, match=f"^{message}$"):
         permutation_statistics(pooled, sizes, plan, (statistic,), draws)
+
+
+def test_engine_refuses_plans_that_are_not_integer_labels(monkeypatch):
+    # a float (0./1.) matrix, a bool matrix and a list of plain label arrays
+    # are refused before the indicator is built, for every statistic
+    sizes = (3, 3)
+    pooled, draws, matrix = _cvm_case(sizes, 3, 8, 4, seed=34)
+
+    def no_work(*args):
+        raise AssertionError("the indicator was built before the plan check")
+
+    monkeypatch.setattr(stats_module, "_indicator_words", no_work)
+    message = "^plans must be an integer \\(Q, N\\) label matrix or plan objects$"
+    for plans in (matrix.astype(float), matrix == 1, list(matrix)):
+        for statistics in (("cvm", "mean_path", "energy"), ()):
+            with pytest.raises(ValueError, match=message):
+                permutation_statistics(pooled, sizes, plans, statistics, draws)
+
+
+def test_engine_checks_every_statistic_before_any_set_up(monkeypatch):
+    # cvm's check runs before energy's distance matrix is built, whatever
+    # the requested order; the result follows the table's order, once each
+    sizes = (3, 4)
+    pooled, draws, matrix = _cvm_case(sizes, 3, 8, 5, seed=35)
+    with monkeypatch.context() as m:
+        m.setattr(stats_module, "pairwise_distances", lambda points: pytest.fail("set-up ran first"))
+        with pytest.raises(ValueError, match="needs measure draws"):
+            permutation_statistics(pooled, sizes, matrix, ("energy", "cvm"), None)
+    repeated = permutation_statistics(pooled, sizes, matrix, ("energy", "cvm", "cvm"), draws)
+    reordered = permutation_statistics(pooled, sizes, matrix, ("cvm", "energy"), draws)
+    assert list(repeated) == list(reordered) == ["cvm", "energy"]
+    for name in reordered:
+        assert repeated[name].tobytes() == reordered[name].tobytes(), name
 
 
 def test_engine_without_plans_returns_empty_arrays():
