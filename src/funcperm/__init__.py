@@ -30,7 +30,6 @@ from .measure import (
     draw_functions,
     expand_coefficients,
     median_peak,
-    pointwise_variance,
     trig_basis,
 )
 from .permutation import (

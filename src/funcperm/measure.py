@@ -8,8 +8,10 @@ evaluation functions Z.  Z is a truncated trigonometric expansion
 
 with independent random coefficients: c_1 has mean ``mean_level`` and the
 higher-order coefficients have mean zero, all with standard deviation
-``coeff_sd`` (default 1/sqrt(n_terms), so the coefficient variances sum
-to one).  Drawing many such Z's materializes the measure on the grid.
+1/sqrt(n_terms).  Since sum_k psi_k(t)^2 = n_terms at every slot, Z(t)
+has unit variance everywhere.  Student-t coefficients have 5 degrees of
+freedom, rescaled to unit variance.  Drawing many such Z's materializes
+the measure on the grid.
 """
 
 from __future__ import annotations
@@ -34,14 +36,12 @@ class MeasureSpec:
     """Parameters of the random-function law.
 
     ``n_terms`` must be odd so the expansion pairs each cosine with a sine.
-    ``coeff_sd`` of ``None`` selects the default 1/sqrt(n_terms).
+    The coefficient scale and the student-t df are fixed (module docstring).
     """
 
     n_terms: int
     mean_level: float
-    coeff_sd: float | None = None
     law: str = "gaussian"
-    df: float = 5.0
     seed: Seed = 0
 
     def __post_init__(self) -> None:
@@ -50,15 +50,13 @@ class MeasureSpec:
             raise ValueError(f"n_terms must be an odd positive integer, got {self.n_terms}")
         if not np.isfinite(self.mean_level):
             raise ValueError(f"mean_level must be finite, got {self.mean_level!r}")
-        sd = self.coeff_sd
-        if sd is None:
-            object.__setattr__(self, "coeff_sd", 1.0 / math.sqrt(self.n_terms))
-        elif not (sd > 0 and np.isfinite(sd)):
-            raise ValueError("coeff_sd must be a positive real")
         if self.law not in COEFF_LAWS:
             raise ValueError(f"unknown coefficient law {self.law!r}")
-        if self.law == "student-t" and not self.df > 2:
-            raise ValueError("student-t law needs df > 2 for unit variance")
+
+    @property
+    def coeff_sd(self) -> float:
+        """Coefficient standard deviation 1/sqrt(n_terms): unit variance of Z(t)."""
+        return 1.0 / math.sqrt(self.n_terms)
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,6 @@ class MeasureDraws:
     """
 
     values: np.ndarray  # (L, J)
-    spec: MeasureSpec | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -143,15 +140,13 @@ def median_peak(sample) -> float:
     return float(np.median(paths.max(axis=1)))
 
 
-def _unit_coefficients(
-    rng: np.random.Generator, law: str, df: float, size: tuple[int, ...]
-) -> np.ndarray:
+def _unit_coefficients(rng: np.random.Generator, law: str, size: tuple[int, ...]) -> np.ndarray:
     """Mean-zero, unit-variance draws under the requested law."""
     if law == "gaussian":
         return rng.standard_normal(size)
     if law == "uniform":
         return rng.uniform(-_SQRT3, _SQRT3, size)
-    return rng.standard_t(df, size) * math.sqrt((df - 2.0) / df)
+    return rng.standard_t(5.0, size) * math.sqrt(3.0 / 5.0)  # 5 df, unit variance
 
 
 def draw_coefficients(spec: MeasureSpec, count: int) -> np.ndarray:
@@ -163,7 +158,7 @@ def draw_coefficients(spec: MeasureSpec, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("need at least one draw")
     rng = substream(spec.seed)
-    out = _unit_coefficients(rng, spec.law, spec.df, (count, spec.n_terms))
+    out = _unit_coefficients(rng, spec.law, (count, spec.n_terms))
     out *= spec.coeff_sd
     out[:, 0] += spec.mean_level
     return out
@@ -179,10 +174,4 @@ def draw_functions(spec: MeasureSpec, grid: TimeGrid, count: int) -> MeasureDraw
     values = draw_coefficients(spec, count) @ basis_matrix(spec.n_terms, grid)
     # read-only, so that MeasureDraws keeps this product without a copy
     values.flags.writeable = False
-    return MeasureDraws(values=values, spec=spec)
-
-
-def pointwise_variance(spec: MeasureSpec, grid: TimeGrid) -> np.ndarray:
-    """Exact Var[Z(t)] at each grid point: coeff_sd^2 * sum_k psi_k(t)^2."""
-    psi = basis_matrix(spec.n_terms, grid)
-    return spec.coeff_sd**2 * np.sum(psi**2, axis=0)
+    return MeasureDraws(values)

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .measure import MeasureDraws
-from .rng import Seed, substream
+from .rng import Seed, _index, substream
 from .samples import pooled_by_group
 from .stats import _checked_sizes, _identity_assignment, _plan_matrix, permutation_statistics
 
@@ -37,6 +37,9 @@ DECISION_MODES = ("randomized", "conservative")
 # Guard against alpha resolutions so fine that float rounding of
 # Q*(1-alpha) could move the order-statistic index.
 _QUANTILE_EPS = 1e-9
+
+# The most assignments exhaustive mode enumerates.
+_EXHAUSTIVE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ def sampled_plan_matrix(group_sizes: Sequence[int], count: int, seed: Seed) -> n
     other stage left at the same default, such as ``MeasureSpec.seed``.
     """
     sizes = _int8_sizes(group_sizes)
-    if count is None or count < 1:
+    if count is None or _index(count) < 1:
         raise ValueError("sampled mode needs a positive plan count")
     if seed is None:
         raise ValueError("sampled mode needs an explicit seed")
@@ -161,7 +164,6 @@ def make_plans(
     mode: str = "sampled",
     count: int | None = None,
     seed: Seed | None = None,
-    cap: int = 1_000_000,
 ) -> list[PermutationPlan]:
     """Build the plan list the permutation engine iterates.
 
@@ -169,7 +171,7 @@ def make_plans(
     and wrap its rows, read-only views, as plans; the engine also takes
     such a matrix directly.  ``sampled`` is :func:`sampled_plan_matrix`.
     ``exhaustive`` holds every distinct assignment exactly once (error
-    when the count exceeds ``cap``) and takes no ``count`` or ``seed``.
+    when there are more than 1,000,000) and takes no ``count`` or ``seed``.
     The plan objects remain for callers that iterate them.
     """
     if mode == "sampled":
@@ -179,10 +181,10 @@ def make_plans(
             raise ValueError("exhaustive mode takes no plan count or seed")
         sizes = _int8_sizes(group_sizes)
         total = number_of_assignments(sizes)
-        if total > cap:
+        if total > _EXHAUSTIVE_CAP:
             raise ValueError(
                 f"exhaustive mode would enumerate {total} assignments, "
-                f"above the cap of {cap}; use sampled mode"
+                f"above the cap of {_EXHAUSTIVE_CAP}; use sampled mode"
             )
         matrix = _all_assignments(sizes)
         matrix.flags.writeable = False
@@ -239,11 +241,13 @@ def decide(
 
     ``observed`` must be the identity plan's statistic, i.e.
     ``dist.observed``, so it is finite.  In randomized mode a tie with
-    the critical value rejects with probability a (drawn from ``rng``);
-    conservative mode never rejects on a tie.
+    the critical value rejects with probability a (drawn from ``rng``),
+    so that mode needs ``rng`` whether or not the data tie; conservative
+    mode never rejects on a tie.
     """
-    if mode not in DECISION_MODES:
-        raise ValueError(f"unknown decision mode {mode!r}")
+    _check_mode(mode)
+    if mode == "randomized" and rng is None:
+        raise ValueError("randomized mode needs a random generator")
     if not math.isfinite(observed):
         raise ValueError(f"the observed statistic must be finite, got {observed!r}")
     threshold = critical_value(dist, alpha)  # validates alpha
@@ -257,8 +261,6 @@ def decide(
         boundary = (dist.n_plans * alpha - q_above) / q_equal
         boundary = min(max(boundary, 0.0), 1.0)
         if mode == "randomized":
-            if rng is None:
-                raise ValueError("randomized mode needs a random generator")
             phi = boundary
             rejected = bool(rng.random() < boundary)
         else:
@@ -299,6 +301,20 @@ def combine_tests(cvm_result: TestResult, mean_result: TestResult) -> CombinedRe
     )
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in DECISION_MODES:
+        raise ValueError(f"unknown decision mode {mode!r}")
+
+
+def _check_levels(alpha_cvm: float, alpha_mean: float) -> None:
+    """The two component levels of a combined test: both positive, their
+    sum below one."""
+    if not (alpha_cvm > 0 and alpha_mean > 0):
+        raise ValueError("component levels must be positive")
+    if not alpha_cvm + alpha_mean < 1:
+        raise ValueError("component levels must sum to less than one")
+
+
 def combined_p_value(
     p_cvm: float, p_mean: float, alpha_cvm: float, alpha_mean: float
 ) -> float:
@@ -309,11 +325,8 @@ def combined_p_value(
     rule at total level alpha_cvm + alpha_mean rejects exactly when this
     value is at or below that total.
     """
-    if not (alpha_cvm > 0 and alpha_mean > 0):
-        raise ValueError("component levels must be positive")
+    _check_levels(alpha_cvm, alpha_mean)
     total = alpha_cvm + alpha_mean
-    if not total < 1:
-        raise ValueError("component levels must sum to less than one")
     return min(1.0, p_cvm * total / alpha_cvm, p_mean * total / alpha_mean)
 
 
@@ -330,8 +343,11 @@ def run_combined_test(
 
     Sharing one plan set between the two component tests halves the cost
     and leaves each component's marginal exactness untouched.  Each test
-    decides on plan 0's statistic, so plan 0 must be the identity.
+    decides on plan 0's statistic, so plan 0 must be the identity.  The
+    levels and the mode are checked before any statistic is computed.
     """
+    _check_levels(alpha_cvm, alpha_mean)
+    _check_mode(mode)
     pooled, sizes = pooled_by_group(sample)
     plans = _plan_matrix(plans, sizes)
     if not np.array_equal(plans[:1], _identity_assignment(sizes)[None]):

@@ -1,8 +1,9 @@
 """Ingestion and validation of discretely observed functional samples.
 
 A sample is a set of N units, each observed as a path of J values on a
-shared time grid, plus a group label per unit.  Group ids must be the
-contiguous integers 0..S, and group 0 is the control group by convention.
+shared time grid of J slots, plus a group label per unit; the grid holds
+only J.  Group ids must be the contiguous integers 0..S, and group 0 is
+the control group by convention.
 
 CSV contract (UTF-8, comma separated, no quoting of numeric fields)::
 
@@ -26,6 +27,8 @@ from pathlib import Path
 from typing import BinaryIO, Union
 
 import numpy as np
+
+from .rng import _index
 
 
 class SampleFormatError(ValueError):
@@ -64,29 +67,23 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Shared observation grid: strictly increasing time labels.
+    """Shared observation grid of ``horizon`` slots, 1..horizon.
 
-    Only the count and order of the labels matter to the statistics; the
-    labels are dimensionless slot indices.
+    Only the number of slots matters to the statistics, so it is all the
+    grid holds; it must be an integer (not a bool) of at least one.
     """
 
-    points: tuple[float, ...]
+    horizon: int
 
     def __post_init__(self) -> None:
-        if len(self.points) < 1:
-            raise ValueError("time grid needs at least one point")
-        if any(b <= a for a, b in zip(self.points, self.points[1:])):
-            raise ValueError("time grid points must be strictly increasing")
-
-    @property
-    def horizon(self) -> int:
-        """Number of grid points."""
-        return len(self.points)
+        object.__setattr__(self, "horizon", _index(self.horizon))
+        if self.horizon < 1:
+            raise ValueError(f"time grid needs at least one point, got {self.horizon}")
 
     @staticmethod
     def regular(n_points: int) -> "TimeGrid":
-        """Grid with slot labels 1..n_points."""
-        return TimeGrid(tuple(range(1, n_points + 1)))
+        """Grid with slots 1..n_points."""
+        return TimeGrid(n_points)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .measure import MeasureSpec, draw_functions, median_peak
-from .permutation import DECISION_MODES, decide, permutation_distributions, sampled_plan_matrix
+from .permutation import _check_levels, _check_mode, decide, permutation_distributions, sampled_plan_matrix
 from .rng import Seed, _index, seed_entropy, substream
 from .samples import TimeGrid
 
@@ -47,6 +47,9 @@ _DESIGN_SHIFTS: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]] = {
 }
 
 DESIGN_IDS = tuple(sorted(_DESIGN_SHIFTS))
+
+# slots per day of the synthetic baseline's periodic profiles
+_DAILY_PERIOD = 48
 
 
 def _readonly(array) -> np.ndarray:
@@ -109,10 +112,11 @@ class DesignSpec:
         return self.groups[0].horizon
 
 
-def synthetic_baseline(horizon: int, daily_period: int = 48) -> GroupParams:
+def synthetic_baseline(horizon: int) -> GroupParams:
     """Smooth daily-periodic control parameters.
 
-    Slot profiles (slot = (t - 1) mod daily_period, angle = 2 pi slot / period):
+    Slot profiles (slot = (t - 1) mod 48, angle = 2 pi slot / 48, one day of
+    half-hour slots):
 
     * mu    = 1.60 + 0.60 sin(angle) + 0.30 sin(2 angle)
     * sigma = 0.50 + 0.12 cos(angle)            (range [0.38, 0.62])
@@ -125,8 +129,8 @@ def synthetic_baseline(horizon: int, daily_period: int = 48) -> GroupParams:
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    slot = np.arange(horizon) % daily_period
-    angle = 2.0 * np.pi * slot / daily_period
+    slot = np.arange(horizon) % _DAILY_PERIOD
+    angle = 2.0 * np.pi * slot / _DAILY_PERIOD
     mu = 1.60 + 0.60 * np.sin(angle) + 0.30 * np.sin(2.0 * angle)
     sigma = 0.50 + 0.12 * np.cos(angle)
     rho = 0.40 + 0.12 * np.sin(angle + 1.0)
@@ -259,8 +263,7 @@ class StudyConfig:
         unknown = set(self.tests) - set(TEST_NAMES)
         if unknown:
             raise ValueError(f"unknown tests {sorted(unknown)}")
-        if self.mode not in DECISION_MODES:
-            raise ValueError(f"unknown decision mode {self.mode!r}")
+        _check_mode(self.mode)
         # the measure's own checks, made once per study instead of in the
         # first replication; any finite level stands in for "auto"
         level = 0.0 if self.mean_level == "auto" else self.mean_level
@@ -271,11 +274,7 @@ class StudyConfig:
             raise ValueError("need at least two permutation plans")
         if len(self.alpha_split) != 2:
             raise ValueError(f"alpha_split needs two levels (cvm, mean_path), got {len(self.alpha_split)}")
-        alpha_cvm, alpha_mean = self.alpha_split
-        if not (alpha_cvm > 0 and alpha_mean > 0):
-            raise ValueError("levels must be positive")
-        if not alpha_cvm + alpha_mean < 1:
-            raise ValueError("levels must sum to less than one")
+        _check_levels(*self.alpha_split)
         # the designs' own checks, before any replication
         baseline = synthetic_baseline(self.horizon)
         for design_id in self.designs:

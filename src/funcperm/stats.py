@@ -529,8 +529,6 @@ _STATISTICS = {
     "energy": _Statistic(_energy_prepare),
 }
 
-PERMUTATION_STATISTICS = tuple(_STATISTICS)
-
 
 def permutation_statistics(
     pooled: np.ndarray,

@@ -14,9 +14,13 @@ from funcperm import (
     draw_functions,
     expand_coefficients,
     median_peak,
-    pointwise_variance,
     trig_basis,
 )
+
+
+def _pointwise_variance(spec, grid):
+    """Exact Var[Z(t)] at each grid point: coeff_sd^2 * sum_k psi_k(t)^2."""
+    return spec.coeff_sd**2 * np.sum(basis_matrix(spec.n_terms, grid) ** 2, axis=0)
 
 
 def test_basis_first_element_is_constant():
@@ -92,12 +96,8 @@ def test_median_peak_empty_rejected():
 def test_spec_validations():
     with pytest.raises(ValueError, match="odd"):
         MeasureSpec(n_terms=4, mean_level=0.0)
-    with pytest.raises(ValueError, match="coeff_sd"):
-        MeasureSpec(n_terms=3, mean_level=0.0, coeff_sd=0.0)
     with pytest.raises(ValueError, match="law"):
         MeasureSpec(n_terms=3, mean_level=0.0, law="cauchy")
-    with pytest.raises(ValueError, match="df"):
-        MeasureSpec(n_terms=3, mean_level=0.0, law="student-t", df=2.0)
     assert MeasureSpec(n_terms=9, mean_level=0.0).coeff_sd == pytest.approx(1 / 3)
     # a fractional n_terms must not pass the checks and fail inside
     # draw_functions
@@ -152,7 +152,7 @@ def test_mean_level_recovered(law):
     n_draws = 4000
     spec = MeasureSpec(n_terms=19, mean_level=1.5, law=law, seed=7)
     draws = draw_functions(spec, grid, n_draws)
-    var_t = pointwise_variance(spec, grid)
+    var_t = _pointwise_variance(spec, grid)
     band = 4.0 * np.sqrt(var_t / n_draws)
     err = np.abs(draws.values.mean(axis=0) - 1.5)
     assert np.all(err <= band)
@@ -163,7 +163,7 @@ def test_pointwise_variance_matched_by_samples():
     n_draws = 6000
     spec = MeasureSpec(n_terms=9, mean_level=0.0, seed=13)
     draws = draw_functions(spec, grid, n_draws)
-    var_t = pointwise_variance(spec, grid)
+    var_t = _pointwise_variance(spec, grid)
     sample_var = draws.values.var(axis=0, ddof=1)
     # variance of a variance estimate ~ 2 var^2 / (n-1) for gaussian draws
     band = 5.0 * var_t * np.sqrt(2.0 / (n_draws - 1))
@@ -171,19 +171,20 @@ def test_pointwise_variance_matched_by_samples():
 
 
 def test_variance_sums_to_one_with_default_sd():
-    # sum_k psi_k(t)^2 = n_terms at every t, so the default coefficient
-    # scale gives unit pointwise variance
+    # sum_k psi_k(t)^2 = n_terms at every t, so the coefficient scale
+    # 1/sqrt(n_terms) gives unit pointwise variance
     grid = TimeGrid.regular(30)
+    assert np.allclose(np.sum(basis_matrix(11, grid) ** 2, axis=0), 11.0, atol=1e-12)
     spec = MeasureSpec(n_terms=11, mean_level=0.0, seed=0)
-    assert np.allclose(pointwise_variance(spec, grid), 1.0, atol=1e-12)
+    assert np.allclose(_pointwise_variance(spec, grid), 1.0, atol=1e-12)
 
 
 def test_uniform_law_is_bounded():
-    spec = MeasureSpec(n_terms=5, mean_level=0.0, law="uniform", coeff_sd=1.0, seed=3)
+    spec = MeasureSpec(n_terms=5, mean_level=0.0, law="uniform", seed=3)
     from funcperm import draw_coefficients
 
     coeffs = draw_coefficients(spec, 500)
-    assert np.max(np.abs(coeffs)) <= math.sqrt(3.0) + 1e-12
+    assert np.max(np.abs(coeffs)) <= math.sqrt(3.0) / math.sqrt(5) + 1e-12
 
 
 def test_draws_validation():

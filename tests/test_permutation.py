@@ -28,6 +28,7 @@ from funcperm import (
     permutation_statistics,
     sampled_plan_matrix,
 )
+from funcperm import permutation as permutation_module
 from funcperm import stats as stats_module
 from funcperm.rng import substream
 
@@ -59,9 +60,15 @@ def test_exhaustive_multinomial_count():
     assert len(plans) == number_of_assignments((2, 1, 1)) == 12
 
 
-def test_exhaustive_cap_enforced():
-    with pytest.raises(ValueError, match="cap"):
-        make_plans((3, 3), "exhaustive", cap=10)
+def test_exhaustive_cap_enforced(monkeypatch):
+    # (12, 12) has 2,704,156 assignments, above the cap of 1,000,000;
+    # none is enumerated
+    def no_work(*args):
+        raise AssertionError("assignments were enumerated past the cap")
+
+    monkeypatch.setattr(permutation_module, "_all_assignments", no_work)
+    with pytest.raises(ValueError, match="2704156 assignments, above the cap of 1000000"):
+        make_plans((12, 12), "exhaustive")
 
 
 def test_sampled_identity_first():
@@ -181,6 +188,16 @@ def test_plan_group_sizes_must_be_integers(mode, count, seed):
     assert plans[0].assignment.tolist() == [0, 0, 1, 1]
 
 
+def test_sampled_plan_count_must_be_an_integer():
+    # True is a flag, not one plan, and 2.0 is not truncated to 2
+    for count in (True, 2.0):
+        with pytest.raises(TypeError):
+            sampled_plan_matrix((2, 2), count, seed=1)
+        with pytest.raises(TypeError):
+            make_plans((2, 2), "sampled", count, seed=1)
+    assert sampled_plan_matrix((2, 2), np.int64(2), seed=1).shape == (2, 4)
+
+
 # ---------------------------------------------------------------------------
 # critical values, p-values, decision rule
 # ---------------------------------------------------------------------------
@@ -258,6 +275,15 @@ def test_decide_conservative_never_rejects_tie():
 def test_decide_randomized_requires_rng_on_tie():
     with pytest.raises(ValueError, match="generator"):
         decide(5.0, dist_of([5.0, 5.0]), 0.5, "randomized")
+
+
+def test_decide_randomized_requires_rng_without_a_tie():
+    # whether a call fails must not depend on the data: below and above
+    # the critical value 2 fail as the tie does
+    with pytest.raises(ValueError, match="generator"):
+        decide(1.0, dist_of([1.0, 2.0, 3.0, 4.0]), 0.5)
+    with pytest.raises(ValueError, match="generator"):
+        decide(4.0, dist_of([4.0, 1.0, 2.0, 3.0]), 0.5, "randomized")
 
 
 @pytest.mark.parametrize("observed", [float("nan"), float("inf"), -float("inf")])
@@ -970,6 +996,32 @@ def test_run_combined_test_end_to_end():
     assert result.rejected
     assert result.p_value_combined <= 0.05
     assert result.cvm.level == 0.025 and result.mean_path.level == 0.025
+
+
+@pytest.mark.parametrize(
+    "levels, mode, message",
+    [
+        ((0.6, 0.6), "randomized", "^component levels must sum to less than one$"),
+        ((0.0, 0.05), "randomized", "^component levels must be positive$"),
+        ((0.025, 0.025), "bogus", "^unknown decision mode 'bogus'$"),
+    ],
+    ids=["level-sum", "level-zero", "mode"],
+)
+def test_run_combined_test_checks_levels_and_mode_before_any_work(monkeypatch, levels, mode, message):
+    from funcperm import FunctionalSample, run_combined_test
+
+    def no_work(*args):
+        raise AssertionError("the statistics were computed before the checks")
+
+    # permutation imports the engine by name, so both bindings are patched
+    monkeypatch.setattr(stats_module, "permutation_statistics", no_work)
+    monkeypatch.setattr(permutation_module, "permutation_statistics", no_work)
+    rng = np.random.default_rng(5)
+    sample = FunctionalSample(rng.normal(size=(8, 4)), [0] * 4 + [1] * 4, TimeGrid.regular(4))
+    draws = draw_functions(MeasureSpec(n_terms=3, mean_level=0.0, seed=1), sample.grid, 16)
+    plans = sampled_plan_matrix((4, 4), 9, seed=2)
+    with pytest.raises(ValueError, match=message):
+        run_combined_test(sample, draws, plans, *levels, mode, seed=3)
 
 
 def test_run_combined_test_needs_the_identity_first():

@@ -178,11 +178,15 @@ def test_direct_construction_with_bool_labels_rejected():
 
 
 def test_time_grid_invariants():
-    assert TimeGrid.regular(4).horizon == 4
-    with pytest.raises(ValueError, match="strictly increasing"):
-        TimeGrid((1, 1, 2))
+    assert TimeGrid.regular(4).horizon == 4 and TimeGrid.regular(4) == TimeGrid(4)
+    grid = TimeGrid(np.int64(3))
+    assert type(grid.horizon) is int and grid.horizon == 3
     with pytest.raises(ValueError, match="at least one"):
-        TimeGrid(())
+        TimeGrid(0)
+    # True is a flag, not the horizon 1, and a float is not truncated
+    for bad in (True, 2.0):
+        with pytest.raises(TypeError):
+            TimeGrid.regular(bad)
 
 
 def test_sample_is_immutable():

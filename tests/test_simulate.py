@@ -336,11 +336,13 @@ STUDY_KW = dict(
         ({"mean_level": float("nan")}, "finite, got nan"),
         ({"seed": (3, -1)}, r"got \(3, -1\)"),
         ({"alpha_split": (0.01, 0.02, 0.03)}, "alpha_split needs two levels"),
+        ({"alpha_split": (0.6, 0.6)}, "levels must sum to less than one"),
+        ({"alpha_split": (0.0, 0.05)}, "levels must be positive"),
     ],
     ids=[
         "repeated-test", "no-tests", "no-designs", "mode", "coeff-law", "threads-0",
         "mode-threads-2", "even-n-terms", "no-draws", "mean-level-text", "mean-level-nan",
-        "negative-seed", "alpha-split-three",
+        "negative-seed", "alpha-split-three", "alpha-split-sum", "alpha-split-zero",
     ],
 )
 def test_bad_study_setting_rejected_before_any_replication(monkeypatch, setting, message):
