@@ -86,12 +86,10 @@ from .special import (
 )
 from .stats import (
     cvm_statistic,
-    cvm_statistic_multi,
     ecdf_indicator,
     energy_statistic,
     indicator_matrix,
     mean_path_statistic,
-    mean_path_statistic_multi,
     pairwise_distances,
     permutation_statistics,
 )

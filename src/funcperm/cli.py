@@ -30,7 +30,7 @@ import numpy as np
 
 from . import local_power
 from .measure import COEFF_LAWS, MeasureSpec, draw_functions, median_peak
-from .permutation import DECISION_MODES, run_combined_test, sampled_plan_matrix
+from .permutation import DECISION_MODES, _check_levels, run_combined_test, sampled_plan_matrix
 from .samples import SampleFormatError, load_samples
 from .simulate import DESIGN_IDS, TEST_NAMES, StudyConfig, run_study
 
@@ -121,35 +121,25 @@ _RUNS = ("test", "simulate")
 
 @dataclass(frozen=True)
 class _Option:
-    """One option: config-file key ``key``, flag ``--key`` (underscores as
-    dashes) unless ``help`` is None, parsed into the attributes named in
-    ``attr`` (space-separated; the key when empty)."""
+    """One option: config-file key and attribute ``key``, flag ``--key``
+    (underscores as dashes)."""
 
     key: str
     parse: Callable[[str], Any]
     default: str | None
     commands: tuple[str, ...]
-    help: str | None
-    attr: str = ""
+    help: str
 
     @property
     def flag(self) -> str:
         return "--" + self.key.replace("_", "-")
 
-    @property
-    def attrs(self) -> list[str]:
-        return (self.attr or self.key).split()
 
-
-# Within one source, a later row wins over an earlier one with the same
-# attribute: alpha_tau / alpha_nu over alpha_split, perms over n_perms.
 _OPTIONS = (
     _Option("input", str, None, ("test",), "input CSV (id,group,t1,...,tJ)"),
     _Option("out_dir", str, "funcperm_out", _ALL, "output directory"),
-    _Option("alpha_split", _values(_level, 2), None, _ALL, None, attr="alpha_tau alpha_nu"),
     _Option("alpha_tau", _level, "0.025", _ALL, "level of the CDF-distance component"),
     _Option("alpha_nu", _level, "0.025", _ALL, "level of the mean-path component"),
-    _Option("n_perms", _at_least(19), None, _RUNS, None, attr="perms"),
     _Option("perms", _at_least(19), "500", _RUNS, "number of permutation plans"),
     _Option("L", _at_least(1), "4000", _RUNS, "number of evaluation-function draws"),
     _Option("K", _odd, "19", _RUNS, "number of basis terms (odd)"),
@@ -205,7 +195,7 @@ def _read_config(path: str, command: str) -> dict[str, str]:
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """The command's option values: row default, then file, then flag."""
     rows = [opt for opt in _OPTIONS if args.command in opt.commands]
-    cfg = dict.fromkeys(name for opt in rows for name in opt.attrs)
+    cfg = dict.fromkeys(opt.key for opt in rows)
     sources = (
         ("default", {opt.key: opt.default for opt in rows}),
         ("config key", _read_config(args.config, args.command) if args.config else {}),
@@ -220,9 +210,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             except ValueError as err:
                 name = opt.flag if source == "flag" else f"{source} {opt.key!r}"
                 raise ValueError(f"{name}: {err}") from None
-            cfg.update(zip(opt.attrs, value if len(opt.attrs) > 1 else (value,)))
-    if not cfg["alpha_tau"] + cfg["alpha_nu"] < 1:
-        raise ValueError("alpha levels must sum to less than one")
+            cfg[opt.key] = value
+    _check_levels(cfg["alpha_tau"], cfg["alpha_nu"])
     return argparse.Namespace(**cfg)
 
 
@@ -404,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p_cmd = sub.add_parser(command, help=help_text)
         p_cmd.add_argument("--config", help="flat key = value config file")
         for opt in _OPTIONS:
-            if command in opt.commands and opt.help is not None:
+            if command in opt.commands:
                 p_cmd.add_argument(opt.flag, dest=opt.key, help=opt.help)
     return parser
 

@@ -81,10 +81,6 @@ class MeasureDraws:
             values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_draws(self) -> int:
-        return self.values.shape[0]
-
 
 def trig_basis(k: int, t, horizon: int):
     """k-th element of the trigonometric basis at slot(s) ``t`` in 1..horizon.
@@ -92,6 +88,7 @@ def trig_basis(k: int, t, horizon: int):
     Element 1 is the constant 1; elements 2j and 2j+1 are the scaled cosine
     and sine of frequency j.
     """
+    k = _index(k)
     if k < 1:
         raise ValueError("basis index must be >= 1")
     t_arr = np.asarray(t, dtype=float)
@@ -110,7 +107,7 @@ def basis_matrix(n_terms: int, grid: TimeGrid) -> np.ndarray:
     The matrix is read-only and shared: repeated calls with the same
     ``n_terms`` and grid length return the same array.
     """
-    return _basis_matrix(int(n_terms), grid.horizon)
+    return _basis_matrix(_index(n_terms), grid.horizon)
 
 
 @lru_cache(maxsize=16)

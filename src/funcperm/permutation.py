@@ -47,7 +47,6 @@ class PermutationPlan:
     """One assignment of the pooled rows to groups of fixed sizes."""
 
     assignment: np.ndarray  # (N,) small ints
-    index: int  # 0 is the identity assignment
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.assignment, dtype=np.int8)
@@ -190,7 +189,7 @@ def make_plans(
         matrix.flags.writeable = False
     else:
         raise ValueError(f"unknown plan mode {mode!r}")
-    return [PermutationPlan(row, q) for q, row in enumerate(matrix)]
+    return [PermutationPlan(row) for row in matrix]
 
 
 def permutation_distributions(

@@ -127,6 +127,7 @@ def synthetic_baseline(horizon: int) -> GroupParams:
     correlation range keeps rho + 2 * CORR_SHIFT below one, so doubled
     correlation shifts remain admissible.
     """
+    horizon = _index(horizon)
     if horizon < 1:
         raise ValueError("horizon must be positive")
     slot = np.arange(horizon) % _DAILY_PERIOD
@@ -151,7 +152,7 @@ def apply_design(
     """
     if design_id not in _DESIGN_SHIFTS:
         raise ValueError(f"unknown design id {design_id}; expected 1..10")
-    sizes = tuple(int(n) for n in group_sizes)
+    sizes = tuple(map(_index, group_sizes))
     if len(sizes) != 3:
         raise ValueError("designs are defined for a control and two treatments")
     groups = [baseline]

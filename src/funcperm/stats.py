@@ -19,9 +19,9 @@ indistinguishable:
 * ``energy``: the multi-sample energy distance built from pairwise
   Euclidean distances between grid-evaluated paths.
 
-The multi-group forms sum control-versus-treatment terms over the
-treatment groups; with a single treatment they reduce exactly to the
-two-sample forms.
+Each standalone function takes a list of groups, control first, and sums
+control-versus-treatment terms over the treatment groups; with one
+treatment that is the two-sample statistic.
 
 Numerical contract:
 
@@ -259,7 +259,7 @@ def _identity_plan_statistic(
     return value
 
 
-def cvm_statistic_multi(groups: Sequence[np.ndarray], draws: MeasureDraws) -> float:
+def cvm_statistic(groups: Sequence[np.ndarray], draws: MeasureDraws) -> float:
     """Summed CDF-distance terms, control (group 0) versus each treatment.
 
     Each term is (n_0 + n_s) times the average over draws of the squared
@@ -269,12 +269,7 @@ def cvm_statistic_multi(groups: Sequence[np.ndarray], draws: MeasureDraws) -> fl
     return _identity_plan_statistic("cvm", groups, draws)
 
 
-def cvm_statistic(group_a, group_b, draws: MeasureDraws) -> float:
-    """Two-sample CDF-distance statistic."""
-    return cvm_statistic_multi([group_a, group_b], draws)
-
-
-def mean_path_statistic_multi(groups: Sequence[np.ndarray]) -> float:
+def mean_path_statistic(groups: Sequence[np.ndarray]) -> float:
     """Summed mean-path distance terms, control versus each treatment.
 
     Each term is (n_0 + n_s) times the average over grid points of the
@@ -283,11 +278,6 @@ def mean_path_statistic_multi(groups: Sequence[np.ndarray]) -> float:
     call may differ in the last bits, as its block has more rows.
     """
     return _identity_plan_statistic("mean_path", groups)
-
-
-def mean_path_statistic(group_a, group_b) -> float:
-    """Two-sample mean-path statistic."""
-    return mean_path_statistic_multi([group_a, group_b])
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:

@@ -286,7 +286,7 @@ def test_criterion_10_simulation_estimator_convergence():
     )
     rng = substream(314, 0)
     idx = rng.choice(len(atoms), size=100_000, p=probs)
-    estimate = fp.cvm_statistic(group_a, group_b, fp.MeasureDraws(values=atoms[idx]))
+    estimate = fp.cvm_statistic([group_a, group_b], fp.MeasureDraws(values=atoms[idx]))
     rel_err = abs(estimate - closed) / closed
     report(
         10,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,8 +126,8 @@ def test_invalid_alpha_rejected(tmp_path, capsys):
     csv_path = two_group_csv(tmp_path)
     code = run(["test", "--input", csv_path, "--alpha-tau", "0.9",
                 "--alpha-nu", "0.2", "--out-dir", tmp_path / "o"])
-    assert code != 0
-    capsys.readouterr()
+    assert code == 2
+    assert "component levels must sum to less than one" in capsys.readouterr().err
 
 
 def test_simulate_single_design(tmp_path, capsys):
@@ -169,13 +170,14 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         "designs = 1\n"
         "tests = tau\n"
         "reps = 5\n"
-        "n_perms = 19\n"
+        "perms = 19\n"
         "K = 3\n"
         "L = 16\n"
         "sizes = 4,4,4\n"
         "T = 12\n"
         "seed = 7\n"
-        "alpha_split = 0.03, 0.02\n"
+        "alpha_tau = 0.03\n"
+        "alpha_nu = 0.02\n"
     )
     out = tmp_path / "cfgout"
     code = run(["simulate", "--config", cfg, "--reps", "6", "--out-dir", out])
@@ -211,11 +213,29 @@ def test_config_file_drives_test_command(tmp_path, capsys):
 
 
 def test_config_file_unknown_key_fails(tmp_path, capsys):
+    # n_perms and alpha_split are the power_config.json field names, not
+    # config keys: perms, alpha_tau and alpha_nu set those settings
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 1\n")
-    code = run(["simulate", "--config", cfg, "--out-dir", tmp_path / "o"])
-    assert code != 0
-    assert "unknown config key" in capsys.readouterr().err
+    for line in ("bogus = 1", "n_perms = 19", "alpha_split = 0.03, 0.02"):
+        cfg.write_text(f"reps = 2\n{line}\n")
+        code = run(["simulate", "--config", cfg, "--out-dir", tmp_path / "o"])
+        assert code == 2
+        key = line.split()[0]
+        assert f"{cfg}:2: unknown config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_line_without_a_value_fails(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("reps = 2\nreps 3\n")
+    assert run(["simulate", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
+    assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
+
+
+def test_test_command_needs_input(tmp_path, capsys):
+    assert run(["test", "--out-dir", tmp_path / "o"]) == 2
+    assert "the test command needs --input" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_unreadable_fails(tmp_path, capsys):
@@ -337,6 +357,7 @@ def test_threads_flag_only_on_simulate(tmp_path, capsys, command, flag):
     options_case("simulate", "eval_points = 1,2"),
     options_case("power-analytic", "seed = 5"),
     options_case("power-analytic", "n_perms = 100"),
+    options_case("power-analytic", "perms = 100"),
     options_case("power-analytic", "mu1 = 1.5"),
 ])
 def test_threads_config_key_only_on_simulate(tmp_path, capsys, command, line):
@@ -365,41 +386,17 @@ def test_simulate_empty_list_rejected(tmp_path, capsys, option, text):
 @pytest.mark.parametrize("line, flags, name", [
     ("reps = x", [], "'reps'"),
     ("", ["--T", "x"], "--T"),
-], ids=["file", "flag"])
+    ("", ["--K", "4"], "--K: must be an odd positive integer, got 4"),
+    ("", ["--alpha-tau", "0"], "--alpha-tau: alpha levels must be positive, got 0.0"),
+    ("", ["--mode", "x"], "--mode: must be one of randomized, conservative, got 'x'"),
+    ("", ["--tests", "tau,foo"], "--tests: unknown test 'foo'"),
+], ids=["file", "flag", "even-K", "zero-alpha", "mode", "unknown-test"])
 def test_bad_value_names_its_key(tmp_path, capsys, line, flags, name):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     code = run(["simulate", "--config", cfg, *flags, "--out-dir", tmp_path / "o"])
     assert code == 2
     assert name in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("source", ["flag", "file"])
-def test_alpha_tau_wins_over_alpha_split(tmp_path, capsys, source):
-    csv_path = two_group_csv(tmp_path)
-    cfg = tmp_path / "levels.cfg"
-    # in the file, alpha_tau comes first, so a last-line-wins reading fails
-    cfg.write_text(("alpha_tau = 0.01\n" if source == "file" else "") + "alpha_split = 0.03, 0.02\n")
-    flags = ["--alpha-tau", "0.01"] if source == "flag" else []
-    out = tmp_path / "o"
-    code = run(["test", "--input", csv_path, "--config", cfg, *flags,
-                "--perms", "19", "--L", "8", "--K", "3", "--out-dir", out])
-    assert code == 0
-    prov = json.loads((out / "report.json").read_text())["provenance"]
-    assert (prov["alpha_tau"], prov["alpha_nu"]) == (0.01, 0.02)
-    capsys.readouterr()
-
-
-def test_file_perms_wins_over_n_perms(tmp_path, capsys):
-    csv_path = two_group_csv(tmp_path)
-    cfg = tmp_path / "perms.cfg"
-    cfg.write_text("perms = 40\nn_perms = 50\n")
-    out = tmp_path / "o"
-    code = run(["test", "--input", csv_path, "--config", cfg, "--L", "8", "--K", "3",
-                "--out-dir", out])
-    assert code == 0
-    assert json.loads((out / "report.json").read_text())["provenance"]["n_perms"] == 40
-    capsys.readouterr()
 
 
 def test_simulate_accepts_threads_flag_and_config_key(tmp_path, capsys):
@@ -599,3 +596,20 @@ def test_directory_at_report_path_fails(tmp_path, capsys, command, name):
     # every output path is checked before the first one is written, so a
     # failed run leaves none of its files behind
     assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_readme_config_file_example_runs(tmp_path, capsys):
+    # README's "config-file equivalent" of its simulate example, run at one
+    # design and one replication: every key in it must still be accepted
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A config-file equivalent:", 1)[1].split("```", 2)[1]
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    out = tmp_path / "o"
+    assert run(["simulate", "--config", cfg, "--designs", "1", "--reps", "1", "--out-dir", out]) == 0
+    config = json.loads((out / "power_config.json").read_text())
+    assert config["n_perms"] == 199
+    assert config["alpha_split"] == [0.025, 0.025]
+    assert (config["n_terms"], config["n_draws"], config["horizon"], config["seed"]) == (19, 512, 96, 7)
+    assert config["tests"] == ["cvm", "combined", "energy"]
+    capsys.readouterr()

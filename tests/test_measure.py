@@ -192,6 +192,8 @@ def test_draws_validation():
         MeasureDraws(values=np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError, match="nonempty"):
         MeasureDraws(values=np.empty((0, 3)))
+    with pytest.raises(ValueError, match="at least one draw"):
+        draw_functions(MeasureSpec(3, 0.0), TimeGrid(4), 0)
 
 
 def test_draws_copy_a_callers_array():

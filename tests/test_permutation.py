@@ -14,13 +14,13 @@ from funcperm import (
     combine_tests,
     combined_p_value,
     critical_value,
-    cvm_statistic_multi,
+    cvm_statistic,
     decide,
     draw_functions,
     energy_statistic,
     indicator_matrix,
     make_plans,
-    mean_path_statistic_multi,
+    mean_path_statistic,
     median_peak,
     number_of_assignments,
     p_value,
@@ -45,7 +45,6 @@ def test_exhaustive_two_one():
     plans = make_plans((2, 1), "exhaustive")
     assert len(plans) == 3  # 3!/(2!1!)
     assert plans[0].assignment.tolist() == [0, 0, 1]
-    assert plans[0].index == 0
 
 
 def test_exhaustive_three_three():
@@ -94,7 +93,6 @@ def test_sampled_single_plan_is_identity():
     plans = make_plans((3, 2), "sampled", count=1, seed=4)
     assert len(plans) == 1
     assert plans[0].assignment.tolist() == [0, 0, 0, 1, 1]
-    assert plans[0].index == 0
 
 
 def test_sampled_plans_uniform_over_assignments():
@@ -130,6 +128,9 @@ def test_make_plans_validation():
         make_plans((2, 2), "sampled", count=0)
     with pytest.raises(ValueError):
         make_plans((2, 2), "bogus")
+    # labels are int8
+    with pytest.raises(ValueError, match="more than 127 groups"):
+        make_plans((1,) * 128, "sampled", count=2, seed=1)
     # an ignored count or seed would hide that every assignment is listed
     with pytest.raises(ValueError, match="no plan count or seed"):
         make_plans((2, 2), "exhaustive", count=3, seed=1)
@@ -168,7 +169,6 @@ def test_exhaustive_order_is_pinned(sizes, digest):
 @pytest.mark.parametrize("mode, count, seed", [("exhaustive", None, None), ("sampled", 30, 4)])
 def test_make_plans_rows_are_read_only(mode, count, seed):
     plans = make_plans((3, 2, 2), mode, count, seed)
-    assert [p.index for p in plans] == list(range(len(plans)))
     for plan in plans:
         assert plan.assignment.dtype == np.int8
         assert not plan.assignment.flags.writeable
@@ -201,6 +201,17 @@ def test_sampled_plan_count_must_be_an_integer():
 # ---------------------------------------------------------------------------
 # critical values, p-values, decision rule
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "stats, message",
+    [([], "at least one plan statistic"), ([[1.0, 2.0]], "at least one plan statistic"),
+     ([1.0, -1.0], "finite and nonnegative"), ([1.0, np.nan], "finite and nonnegative")],
+    ids=["empty", "2-d", "negative", "nan"],
+)
+def test_distribution_validation(stats, message):
+    with pytest.raises(ValueError, match=message):
+        PermutationDistribution(stats)
+
 
 def test_critical_value_definition_cases():
     stats = list(range(1, 21))
@@ -489,9 +500,9 @@ def test_engine_identity_plan_matches_standalone():
     dists = permutation_distributions(
         pooled, sizes, plans, ("cvm", "mean_path", "energy"), draws
     )
-    assert dists["cvm"].observed == cvm_statistic_multi(groups, draws)
+    assert dists["cvm"].observed == cvm_statistic(groups, draws)
     assert dists["mean_path"].observed == pytest.approx(
-        mean_path_statistic_multi(groups), rel=1e-12
+        mean_path_statistic(groups), rel=1e-12
     )
     assert dists["energy"].observed == pytest.approx(
         energy_statistic(groups), rel=1e-12
@@ -808,7 +819,7 @@ def test_engine_cvm_draw_blocks_are_fixed_in_draw_order(monkeypatch, block_rows)
     assert blocked.tobytes() == whole.tobytes()
     assert np.all(np.abs(blocked - one_block) <= 1e-15 * one_block)
     groups = [pooled[:6], pooled[6:11], pooled[11:18], pooled[18:]]
-    assert blocked[0] == cvm_statistic_multi(groups, draws)
+    assert blocked[0] == cvm_statistic(groups, draws)
 
 
 def _engine_peak_bytes(statistic, sizes, width, q) -> int:
@@ -901,6 +912,11 @@ def test_engine_rejects_plan_violating_sizes():
     bad = np.array([[0, 0, 0, 1]], dtype=np.int8)
     with pytest.raises(ValueError, match="group sizes"):
         permutation_distributions(pooled, (2, 2), bad, ("mean_path",))
+    for plans in (np.zeros((1, 5), np.int8), np.zeros(4, np.int8)):
+        with pytest.raises(ValueError, match="^plans do not match the pooled sample length$"):
+            permutation_statistics(pooled, (2, 2), plans, ("mean_path",))
+    with pytest.raises(ValueError, match=r"^unknown statistics \['bogus'\]$"):
+        permutation_statistics(pooled, (2, 2), bad, ("mean_path", "bogus"))
 
 
 # inputs the engine refuses before any work: (pooled, group sizes, message)
@@ -1041,7 +1057,7 @@ def test_run_combined_test_needs_the_identity_first():
     from_matrix = run_combined_test(sample, draws, matrix, 0.025, 0.025, seed=3)
     from_list = run_combined_test(sample, draws, make_plans((10, 10), "sampled", 99, seed=2), seed=3)
     assert from_matrix == from_list
-    assert from_matrix.cvm.observed == cvm_statistic_multi([paths[:10], paths[10:]], draws)
+    assert from_matrix.cvm.observed == cvm_statistic([paths[:10], paths[10:]], draws)
 
 
 def test_hand_evaluation_of_critical_value_and_weight_on_tiny_sample():

@@ -25,6 +25,14 @@ def test_load_minimal_two_rows():
     assert sample.paths.tolist() == [[0.5, 1.5], [-0.25, 2.0]]
 
 
+def test_blank_lines_are_skipped_and_counted():
+    text = b"id,group,t1,t2\n\n1,0,0.5,1.5\n\n2,1,-0.25,2.0\n\n"
+    assert load_samples(text).paths.tolist() == load_samples(MINIMAL).paths.tolist()
+    # row numbers are file lines, blank ones included
+    with pytest.raises(SampleFormatError, match="^malformed row 4: expected 4 fields, got 3$"):
+        load_samples(b"id,group,t1,t2\n1,0,0.5,1.5\n\n2,1,-0.25\n")
+
+
 def test_load_accepts_path(tmp_path):
     path = tmp_path / "sample.csv"
     path.write_bytes(MINIMAL)
@@ -142,6 +150,14 @@ def test_validation_of_direct_construction():
         FunctionalSample(np.zeros((2, 2)), [0, 2], grid)
     with pytest.raises(ValueError, match="columns"):
         FunctionalSample(np.zeros((2, 3)), [0, 1], grid)
+    with pytest.raises(ValueError, match="2-d matrix"):
+        FunctionalSample(np.zeros(2), [0, 1], grid)
+    with pytest.raises(ValueError, match="one entry per path"):
+        FunctionalSample(np.zeros((2, 2)), [0, 1, 1], grid)
+    with pytest.raises(ValueError, match="at least one path"):
+        FunctionalSample(np.zeros((0, 2)), [], grid)
+    with pytest.raises(ValueError, match="nonnegative"):
+        FunctionalSample(np.zeros((2, 2)), [-1, 0], grid)
 
 
 def test_huge_group_id_lists_a_capped_few_missing_groups():

@@ -11,11 +11,14 @@ from funcperm import (
     SD_SHIFT,
     GroupParams,
     StudyConfig,
+    TimeGrid,
     apply_design,
+    basis_matrix,
     design_paths,
     run_power_study,
     simulate_paths,
     synthetic_baseline,
+    trig_basis,
 )
 from funcperm.rng import substream
 
@@ -33,6 +36,13 @@ def test_group_params_validation():
         constant_params(4, rho=1.0)
     with pytest.raises(ValueError, match="equal-length"):
         GroupParams(np.zeros(3), np.ones(3), np.zeros(4))
+    with pytest.raises(ValueError, match="mu must be finite"):
+        constant_params(4, mu=np.nan)
+
+
+def test_simulate_paths_needs_a_path():
+    with pytest.raises(ValueError, match="at least one path"):
+        simulate_paths(constant_params(4), 0, substream(1))
 
 
 def test_shifted_rejects_correlation_overflow():
@@ -338,11 +348,18 @@ STUDY_KW = dict(
         ({"alpha_split": (0.01, 0.02, 0.03)}, "alpha_split needs two levels"),
         ({"alpha_split": (0.6, 0.6)}, "levels must sum to less than one"),
         ({"alpha_split": (0.0, 0.05)}, "levels must be positive"),
+        ({"reps": 0}, "at least one replication"),
+        ({"tests": ("cvm", "bogus")}, r"unknown tests \['bogus'\]"),
+        ({"n_perms": 1}, "at least two permutation plans"),
+        ({"group_sizes": (3, 0, 3)}, "group sizes must be positive"),
+        ({"group_sizes": (3, 3)}, "a control and two treatments"),
+        ({"horizon": 0}, "horizon must be positive"),
     ],
     ids=[
         "repeated-test", "no-tests", "no-designs", "mode", "coeff-law", "threads-0",
         "mode-threads-2", "even-n-terms", "no-draws", "mean-level-text", "mean-level-nan",
         "negative-seed", "alpha-split-three", "alpha-split-sum", "alpha-split-zero",
+        "no-reps", "unknown-test", "one-plan", "empty-group", "two-groups", "no-horizon",
     ],
 )
 def test_bad_study_setting_rejected_before_any_replication(monkeypatch, setting, message):
@@ -371,6 +388,25 @@ def test_study_counts_must_be_integers(monkeypatch, setting):
     monkeypatch.setattr(simulate, "run_replication", no_replication)
     with pytest.raises(TypeError):
         run_power_study(**{**STUDY_KW, **setting})
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        synthetic_baseline,
+        lambda n: apply_design(1, synthetic_baseline(8), (n, 3, 3)),
+        lambda n: basis_matrix(n, TimeGrid(8)),
+        lambda n: trig_basis(n, 1, 8),
+    ],
+    ids=["horizon", "group-size", "n-terms", "basis-index"],
+)
+def test_design_and_basis_counts_must_be_integers(call, value):
+    # np.arange(2.5) has 3 slots and True would be read as 1: a count
+    # that is not an integer raises instead
+    with pytest.raises(TypeError):
+        call(value)
+    call(np.int64(3))
 
 
 def test_study_config_defaults_echo():

@@ -7,12 +7,10 @@ from funcperm import stats
 from funcperm import (
     MeasureDraws,
     cvm_statistic,
-    cvm_statistic_multi,
     ecdf_indicator,
     energy_statistic,
     indicator_matrix,
     mean_path_statistic,
-    mean_path_statistic_multi,
     pairwise_distances,
     permutation_statistics,
 )
@@ -186,6 +184,11 @@ def test_indicator_matrix_rejects_non_finite_draws(bad):
         indicator_matrix(np.zeros((4, 2)), zvals)
 
 
+def test_indicator_matrix_rejects_other_grid_width():
+    with pytest.raises(ValueError, match="^draws and paths must share the same grid width$"):
+        indicator_matrix(np.zeros((4, 2)), np.zeros((3, 3)))
+
+
 def test_indicator_matrix_degenerate_shapes():
     for n_paths, width, n_draws in [(0, 3, 5), (4, 0, 5), (4, 3, 0)]:
         paths = np.zeros((n_paths, width))
@@ -246,14 +249,14 @@ def test_cvm_identical_groups_is_zero():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(5, 3))
     d = draws_of(rng.normal(size=(20, 3)))
-    assert cvm_statistic(a, a.copy(), d) == 0.0
+    assert cvm_statistic([a, a.copy()], d) == 0.0
 
 
 def test_cvm_hand_computation():
     # one path per group at 0 and 1, a single draw at 0.5:
     # CDFs are 1 and 0, so the statistic is (1+1) * (1-0)^2 = 2
     a, b = [[0.0]], [[1.0]]
-    assert cvm_statistic(a, b, draws_of([[0.5]])) == 2.0
+    assert cvm_statistic([a, b], draws_of([[0.5]])) == 2.0
 
 
 def test_cvm_matches_point_mass_closed_form():
@@ -267,7 +270,7 @@ def test_cvm_matches_point_mass_closed_form():
         w * (ecdf_indicator(a, z) - ecdf_indicator(b, z)) ** 2
         for z, w in zip(atoms, weights)
     )
-    est = cvm_statistic(a, b, draws_of(atoms))
+    est = cvm_statistic([a, b], draws_of(atoms))
     assert est == pytest.approx(closed, rel=1e-12)
 
 
@@ -276,7 +279,7 @@ def test_cvm_symmetric_in_groups():
     a = rng.normal(size=(4, 3))
     b = rng.normal(size=(6, 3))
     d = draws_of(rng.normal(size=(15, 3)))
-    assert cvm_statistic(a, b, d) == cvm_statistic(b, a, d)
+    assert cvm_statistic([a, b], d) == cvm_statistic([b, a], d)
 
 
 def test_cvm_row_order_invariant():
@@ -285,7 +288,7 @@ def test_cvm_row_order_invariant():
     b = rng.normal(size=(5, 2))
     d = draws_of(rng.normal(size=(10, 2)))
     shuffled = a[rng.permutation(5)]
-    assert cvm_statistic(a, b, d) == cvm_statistic(shuffled, b, d)
+    assert cvm_statistic([a, b], d) == cvm_statistic([shuffled, b], d)
 
 
 def test_cvm_deterministic_recomputation():
@@ -293,22 +296,14 @@ def test_cvm_deterministic_recomputation():
     a = rng.normal(size=(6, 4))
     b = rng.normal(size=(7, 4))
     d = draws_of(rng.normal(size=(33, 4)))
-    assert cvm_statistic(a, b, d) == cvm_statistic(a, b, d)
-
-
-def test_cvm_multi_reduces_to_two_sample():
-    rng = np.random.default_rng(11)
-    g0 = rng.normal(size=(4, 3))
-    g1 = rng.normal(size=(5, 3))
-    d = draws_of(rng.normal(size=(12, 3)))
-    assert cvm_statistic_multi([g0, g1], d) == cvm_statistic(g0, g1, d)
+    assert cvm_statistic([a, b], d) == cvm_statistic([a, b], d)
 
 
 def test_cvm_multi_identical_groups_zero():
     rng = np.random.default_rng(12)
     g = rng.normal(size=(4, 2))
     d = draws_of(rng.normal(size=(9, 2)))
-    assert cvm_statistic_multi([g, g.copy(), g.copy()], d) == 0.0
+    assert cvm_statistic([g, g.copy(), g.copy()], d) == 0.0
 
 
 def test_cvm_multi_duplicate_control_drops_term():
@@ -316,14 +311,24 @@ def test_cvm_multi_duplicate_control_drops_term():
     g0 = rng.normal(size=(4, 2))
     g1 = rng.normal(size=(4, 2))
     d = draws_of(rng.normal(size=(9, 2)))
-    full = cvm_statistic_multi([g0, g1, g0.copy()], d)
-    only_first = cvm_statistic(g0, g1, d)
+    full = cvm_statistic([g0, g1, g0.copy()], d)
+    only_first = cvm_statistic([g0, g1], d)
     assert full == only_first  # the control-vs-control term vanishes
 
 
 def test_cvm_needs_two_groups():
     with pytest.raises(ValueError):
-        cvm_statistic_multi([np.zeros((2, 2))], draws_of(np.zeros((1, 2))))
+        cvm_statistic([np.zeros((2, 2))], draws_of(np.zeros((1, 2))))
+
+
+def test_groups_must_share_a_grid_width():
+    groups = [np.zeros((2, 2)), np.zeros((2, 3))]
+    message = "^all groups must share the same grid width$"
+    with pytest.raises(ValueError, match=message):
+        cvm_statistic(groups, draws_of(np.zeros((1, 2))))
+    for statistic in (mean_path_statistic, energy_statistic):
+        with pytest.raises(ValueError, match=message):
+            statistic(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +338,12 @@ def test_cvm_needs_two_groups():
 def test_mean_path_equal_means_zero():
     a = np.array([[0.0, 2.0], [2.0, 0.0]])
     b = np.array([[1.0, 1.0]])
-    assert mean_path_statistic(a, b) == 0.0
+    assert mean_path_statistic([a, b]) == 0.0
 
 
 def test_mean_path_hand_computation():
     # (1+1) * (1/2) * ((1-0)^2 + (1-0)^2) = 2
-    assert mean_path_statistic([[1.0, 1.0]], [[0.0, 0.0]]) == 2.0
+    assert mean_path_statistic([[[1.0, 1.0]], [[0.0, 0.0]]]) == 2.0
 
 
 def test_mean_path_translation_invariant():
@@ -346,22 +351,18 @@ def test_mean_path_translation_invariant():
     a = rng.normal(size=(5, 4))
     b = rng.normal(size=(6, 4))
     shift = rng.normal(size=4)
-    base = mean_path_statistic(a, b)
-    moved = mean_path_statistic(a + shift, b + shift)
+    base = mean_path_statistic([a, b])
+    moved = mean_path_statistic([a + shift, b + shift])
     assert moved == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
 def test_mean_path_multi_reduces_and_closed_form():
-    rng = np.random.default_rng(15)
-    g0 = rng.normal(size=(4, 3))
-    g1 = rng.normal(size=(5, 3))
-    assert mean_path_statistic_multi([g0, g1]) == mean_path_statistic(g0, g1)
     # constant control, constant shift; second treatment equals control:
-    # statistic is (n0 + n1) * delta^2 exactly
+    # statistic is (n0 + n1) * delta^2 exactly, the two-group value
     c0 = np.full((4, 3), 1.5)
     c1 = c0 + 0.25
-    got = mean_path_statistic_multi([c0, c1, c0.copy()])
-    assert got == (4 + 4) * 0.25**2
+    got = mean_path_statistic([c0, c1, c0.copy()])
+    assert got == (4 + 4) * 0.25**2 == mean_path_statistic([c0, c1])
 
 
 def test_mean_path_row_order_invariant():
@@ -369,8 +370,8 @@ def test_mean_path_row_order_invariant():
     a = rng.normal(size=(6, 3))
     b = rng.normal(size=(4, 3))
     shuffled = a[rng.permutation(6)]
-    assert mean_path_statistic(shuffled, b) == pytest.approx(
-        mean_path_statistic(a, b), rel=1e-12
+    assert mean_path_statistic([shuffled, b]) == pytest.approx(
+        mean_path_statistic([a, b]), rel=1e-12
     )
 
 
@@ -423,8 +424,20 @@ def test_pairwise_distances_hand_case():
     assert d.tolist() == [[0.0, 5.0], [5.0, 0.0]]
 
 
+def test_statistics_take_one_list_of_groups():
+    # a two-sample call of the form f(a, b[, draws]) is refused, never read
+    # as a list of groups and draws
+    a, b = np.zeros((2, 2)), np.ones((2, 2))
+    d = draws_of(np.zeros((1, 2)))
+    with pytest.raises(TypeError):
+        cvm_statistic(a, b, d)
+    for statistic in (mean_path_statistic, energy_statistic):
+        with pytest.raises(TypeError):
+            statistic(a, b)
+
+
 @pytest.mark.parametrize(
-    "statistic", [mean_path_statistic_multi, energy_statistic], ids=["mean_path", "energy"]
+    "statistic", [mean_path_statistic, energy_statistic], ids=["mean_path", "energy"]
 )
 def test_statistic_rejects_nan_result(statistic):
     groups = [np.array([[0.0, np.nan]]), np.array([[1.0, 2.0]])]
