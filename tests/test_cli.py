@@ -613,3 +613,60 @@ def test_readme_config_file_example_runs(tmp_path, capsys):
     assert (config["n_terms"], config["n_draws"], config["horizon"], config["seed"]) == (19, 512, 96, 7)
     assert config["tests"] == ["cvm", "combined", "energy"]
     capsys.readouterr()
+
+
+def _ci_sample_csv(path):
+    # CI's 30-unit sample: 8 slots, group i % 3, drawn row by row
+    rng = np.random.default_rng(0)
+    lines = ["id,group," + ",".join(f"t{j}" for j in range(1, 9))]
+    lines += [f"{i},{i % 3}," + ",".join(map(repr, rng.normal(size=8).tolist()))
+              for i in range(1, 31)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+_PINNED_TEST_ROWS = {
+    0: ("3.14375,3.14375,0.02564102564", "12.73868418,16.09986473,0.1025641026", "0.05128205128"),
+    1: ("3.053125,3.053125,0.02564102564", "12.73868418,12.73868418,0.02564102564", "0.05128205128"),
+    2: ("4.021875,4.25,0.05128205128", "12.73868418,17.40071492,0.1538461538", "0.1025641026"),
+    3: ("3.44375,3.44375,0.02564102564", "12.73868418,17.93553612,0.1538461538", "0.05128205128"),
+}
+
+
+@pytest.mark.parametrize("seed, mode, decisions, digest", [
+    (0, "randomized", ("0.975,1", "0,0", "1"),
+     "e0de648c3be9e36bf79817e4d82bbbc6192bc8cfb2dd4da67eec9138866907ed"),
+    (0, "conservative", ("0,0", "0,0", "0"),
+     "d6f4ca17188608591f5cf1f156dc97e1ddf96d0a013e743efc81db42e029815d"),
+    # mean_path ties its critical value with phi 0.975 and its tie-break,
+    # the second draw of the one decision stream, does not reject
+    (1, "randomized", ("0.975,1", "0.975,0", "1"),
+     "005c46fcd4e0c407f0509228b35d3f8c713b7ff2b762a452bce4517a7ec453da"),
+    (1, "conservative", ("0,0", "0,0", "0"),
+     "2b4597c51e01fa58ce72bf452056b8735a5f3f5ac00300c87b872bba089c3ce0"),
+    (2, "randomized", ("0,0", "0,0", "0"),
+     "fa250f306e981f936d6db550d0a1ab905f4624db2d43600f05389cb51432824d"),
+    (2, "conservative", ("0,0", "0,0", "0"),
+     "c7f4453af04b944daa7715c66812032422a35db304be91bbae349edee70413e1"),
+    (3, "randomized", ("0.975,1", "0,0", "1"),
+     "9a8d4f902f1429b99148e546815f065507b14ea8a20ecde89e6b7a40d147a68b"),
+    (3, "conservative", ("0,0", "0,0", "0"),
+     "3bea03cf6caee06cf01e4a45478a9e4fd79b662b08bac96da908d684ac766afc"),
+])
+def test_test_outputs_pinned(tmp_path, capsys, seed, mode, decisions, digest):
+    # the measure, the plans and every tie-break of `funcperm test`, keyed
+    # by the seed; the same bytes at one and at two BLAS threads
+    csv_path = tmp_path / "sample.csv"
+    _ci_sample_csv(csv_path)
+    out = tmp_path / "out"
+    assert run(["test", "--input", csv_path, "--perms", "39", "--L", "64", "--K", "3",
+                "--seed", seed, "--mode", mode, "--out-dir", out]) == 0
+    (cvm, mean_path, combined), label = _PINNED_TEST_ROWS[seed], '"(0.025, 0.025)"'
+    assert (out / "report.csv").read_text() == (
+        "test,levels,observed,critical,p_value,phi,rejected\n"
+        f"cvm,{label},{cvm},{decisions[0]}\n"
+        f"mean_path,{label},{mean_path},{decisions[1]}\n"
+        f"combined,{label},,,{combined},,{decisions[2]}\n"
+    )
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
+    capsys.readouterr()
