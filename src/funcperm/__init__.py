@@ -45,7 +45,6 @@ from .permutation import (
     make_plans,
     number_of_assignments,
     p_value,
-    permutation_distributions,
     run_combined_test,
     sampled_plan_matrix,
 )

@@ -29,8 +29,8 @@ from typing import Any, Callable
 import numpy as np
 
 from . import local_power
-from .measure import COEFF_LAWS, MeasureSpec, draw_functions, median_peak
-from .permutation import DECISION_MODES, _check_levels, run_combined_test, sampled_plan_matrix
+from .measure import COEFF_LAWS
+from .permutation import DECISION_MODES, _check_levels, _sampled_inputs, run_combined_test
 from .samples import SampleFormatError, load_samples
 from .simulate import DESIGN_IDS, TEST_NAMES, StudyConfig, run_study
 
@@ -255,15 +255,10 @@ def cmd_test(cfg: argparse.Namespace) -> int:
         raise ValueError("the test needs at least two groups")
     out_dir = _out_dir(cfg.out_dir)
 
-    mean_level = median_peak(sample) if cfg.mu1 == "auto" else float(cfg.mu1)
-    spec = MeasureSpec(
-        n_terms=cfg.K,
-        mean_level=mean_level,
-        law=cfg.coeff_law,
-        seed=(cfg.seed, 1),
+    mean_level, draws, plans = _sampled_inputs(
+        sample.paths, sample.group_sizes, sample.grid.horizon, (cfg.seed,),
+        cfg.K, cfg.mu1, cfg.coeff_law, cfg.L, cfg.perms,
     )
-    draws = draw_functions(spec, sample.grid, cfg.L)
-    plans = sampled_plan_matrix(sample.group_sizes, cfg.perms, seed=(cfg.seed, 2))
     result = run_combined_test(
         sample, draws, plans, cfg.alpha_tau, cfg.alpha_nu, cfg.mode, seed=(cfg.seed, 3)
     )

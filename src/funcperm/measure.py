@@ -88,9 +88,11 @@ def trig_basis(k: int, t, horizon: int):
     Element 1 is the constant 1; elements 2j and 2j+1 are the scaled cosine
     and sine of frequency j.
     """
-    k = _index(k)
+    k, horizon = _index(k), _index(horizon)
     if k < 1:
         raise ValueError("basis index must be >= 1")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     t_arr = np.asarray(t, dtype=float)
     if k == 1:
         out = np.ones_like(t_arr)
@@ -107,7 +109,10 @@ def basis_matrix(n_terms: int, grid: TimeGrid) -> np.ndarray:
     The matrix is read-only and shared: repeated calls with the same
     ``n_terms`` and grid length return the same array.
     """
-    return _basis_matrix(_index(n_terms), grid.horizon)
+    n_terms = _index(n_terms)
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
+    return _basis_matrix(n_terms, grid.horizon)
 
 
 @lru_cache(maxsize=16)

@@ -27,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import MeasureDraws
-from .rng import Seed, _index, substream
-from .samples import pooled_by_group
+from .measure import MeasureDraws, MeasureSpec, draw_functions, median_peak
+from .rng import Seed, _index, seed_entropy, substream
+from .samples import TimeGrid, pooled_by_group
 from .stats import _checked_sizes, _identity_assignment, _plan_matrix, permutation_statistics
 
 DECISION_MODES = ("randomized", "conservative")
@@ -192,16 +192,19 @@ def make_plans(
     return [PermutationPlan(row) for row in matrix]
 
 
-def permutation_distributions(
-    pooled: np.ndarray,
-    group_sizes: Sequence[int],
-    plans,
-    statistics: Sequence[str] = ("cvm", "mean_path"),
-    draws: MeasureDraws | None = None,
-) -> dict[str, PermutationDistribution]:
-    """Wrap :func:`permutation_statistics` results as distributions."""
-    raw = permutation_statistics(pooled, group_sizes, plans, statistics, draws)
-    return {name: PermutationDistribution(stats) for name, stats in raw.items()}
+def _sampled_inputs(
+    paths: np.ndarray, sizes: Sequence[int], horizon: int, key: tuple[int, ...], n_terms: int,
+    mean_level: "float | str", law: str, n_draws: int, n_plans: int, cvm: bool = True,
+) -> tuple[float | None, MeasureDraws | None, np.ndarray]:
+    """One run's measure level (``"auto"``: :func:`median_peak` of ``paths``),
+    draws from the stream ``(*key, 1)`` and sampled plans from ``(*key, 2)``;
+    without ``cvm`` the level and draws are None."""
+    level = draws = None
+    if cvm:
+        level = median_peak(paths) if mean_level == "auto" else float(mean_level)
+        spec = MeasureSpec(n_terms, level, law=law, seed=(*key, 1))
+        draws = draw_functions(spec, TimeGrid(horizon), n_draws)
+    return level, draws, sampled_plan_matrix(sizes, n_plans, seed=(*key, 2))
 
 
 def critical_value(dist: PermutationDistribution, alpha: float) -> float:
@@ -329,6 +332,20 @@ def combined_p_value(
     return min(1.0, p_cvm * total / alpha_cvm, p_mean * total / alpha_mean)
 
 
+def _decisions(
+    pooled: np.ndarray, sizes: Sequence[int], plans, draws: MeasureDraws | None,
+    requests: Sequence[tuple[str, float]], mode: str, key: tuple[int, ...],
+) -> list[TestResult]:
+    """Decide each ``(statistic, level)`` request, in order, on plan 0's value:
+    the distinct statistics come from one engine call, and every randomized
+    tie-break from the one stream keyed ``key``."""
+    names = tuple(dict.fromkeys(name for name, _ in requests))
+    stats = permutation_statistics(pooled, sizes, plans, names, draws)
+    dists = {name: PermutationDistribution(values) for name, values in stats.items()}
+    rng = substream(key)
+    return [decide(dists[name].observed, dists[name], level, mode, rng) for name, level in requests]
+
+
 def run_combined_test(
     sample,
     draws: MeasureDraws,
@@ -351,12 +368,6 @@ def run_combined_test(
     plans = _plan_matrix(plans, sizes)
     if not np.array_equal(plans[:1], _identity_assignment(sizes)[None]):
         raise ValueError("plan 0 must be the identity assignment")
-    dists = permutation_distributions(
-        pooled, sizes, plans, ("cvm", "mean_path"), draws
-    )
-    rng = substream(seed, 1)
-    cvm_result = decide(dists["cvm"].observed, dists["cvm"], alpha_cvm, mode, rng)
-    mean_result = decide(
-        dists["mean_path"].observed, dists["mean_path"], alpha_mean, mode, rng
-    )
-    return combine_tests(cvm_result, mean_result)
+    requests = (("cvm", alpha_cvm), ("mean_path", alpha_mean))
+    results = _decisions(pooled, sizes, plans, draws, requests, mode, (*seed_entropy(seed), 1))
+    return combine_tests(*results)

@@ -21,10 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .measure import MeasureSpec, draw_functions, median_peak
-from .permutation import _check_levels, _check_mode, decide, permutation_distributions, sampled_plan_matrix
+from .measure import MeasureSpec
+from .permutation import _check_levels, _check_mode, _decisions, _sampled_inputs
 from .rng import Seed, _index, seed_entropy, substream
-from .samples import TimeGrid
 
 MEAN_SHIFT = 0.05
 SD_SHIFT = 0.05
@@ -332,7 +331,6 @@ def run_replication(config: StudyConfig, design: DesignSpec, rep: int) -> dict[s
     sample; both are label-invariant, so exactness is preserved.
     """
     key = seed_entropy(config.seed, design.design_id, rep)
-    sizes = design.group_sizes
     pooled = design_paths(design, substream(key, 0))
 
     # each requested test's (statistic, level) decisions, made in this
@@ -344,28 +342,19 @@ def run_replication(config: StudyConfig, design: DesignSpec, rep: int) -> dict[s
         "combined": (("cvm", alpha_cvm), ("mean_path", alpha_mean)),
         "energy": (("energy", alpha_total),),
     }
-    decisions = {test: pairs for test, pairs in decisions.items() if test in config.tests}
-    wanted = tuple(dict.fromkeys(stat for pairs in decisions.values() for stat, _ in pairs))
-
-    draws = None
-    if "cvm" in wanted:
-        level = median_peak(pooled) if config.mean_level == "auto" else config.mean_level
-        spec = MeasureSpec(config.n_terms, level, law=config.coeff_law, seed=(*key, 1))
-        draws = draw_functions(spec, TimeGrid.regular(design.horizon), config.n_draws)
-
-    plans = sampled_plan_matrix(sizes, config.n_perms, seed=(*key, 2))
-    dists = permutation_distributions(pooled, sizes, plans, wanted, draws)
-
-    decision_rng = substream(key, 3)
-    out: dict[str, bool] = {}
-    for test, pairs in decisions.items():
-        # every decision draws from decision_rng, so all are made before any
-        # one is read
-        rejected = [
-            decide(dists[stat].observed, dists[stat], alpha, config.mode, decision_rng).rejected
-            for stat, alpha in pairs
-        ]
-        out[test] = any(rejected)
+    owners, requests = zip(*(
+        (test, pair) for test, pairs in decisions.items() if test in config.tests for pair in pairs
+    ))
+    _, draws, plans = _sampled_inputs(
+        pooled, design.group_sizes, design.horizon, key, config.n_terms, config.mean_level,
+        config.coeff_law, config.n_draws, config.n_perms,
+        cvm=any(stat == "cvm" for stat, _ in requests),
+    )
+    results = _decisions(pooled, design.group_sizes, plans, draws, requests, config.mode, (*key, 3))
+    # a test rejects when any of its decisions does
+    out = dict.fromkeys(owners, False)
+    for test, result in zip(owners, results):
+        out[test] |= result.rejected
     return out
 
 

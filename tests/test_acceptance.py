@@ -42,7 +42,9 @@ def test_criterion_1_exact_size():
     for rep in range(reps):
         pooled = fp.simulate_paths(base, n + m, substream(seed, rep, 0))
         plans = fp.make_plans((n, m), "sampled", n_plans, seed=(seed, rep, 2))
-        dist = fp.permutation_distributions(pooled, (n, m), plans, ("cvm",), draws)["cvm"]
+        dist = fp.PermutationDistribution(
+            fp.permutation_statistics(pooled, (n, m), plans, ("cvm",), draws)["cvm"]
+        )
         rng_dec = substream(seed, rep, 3)
         for a in alphas:
             phi_sum[a] += fp.decide(dist.observed, dist, a, "randomized", rng_dec).phi
@@ -89,9 +91,9 @@ def test_criterion_2_enumeration_oracle():
     zvalues = rng.integers(-8, 9, size=(2, 1)) * 0.25
     plans = fp.make_plans((3, 3), "exhaustive")
     n_ok = len(plans) == 20
-    dist = fp.permutation_distributions(
+    dist = fp.PermutationDistribution(fp.permutation_statistics(
         pooled, (3, 3), plans, ("cvm",), fp.MeasureDraws(values=zvalues)
-    )["cvm"]
+    )["cvm"])
     oracle = _oracle_two_sample(pooled, (3, 3), zvalues)
     values_ok = dist.stats.tolist() == oracle
 
@@ -136,14 +138,12 @@ def test_criterion_3_combined_size_bound():
     for rep in range(reps):
         pooled = fp.simulate_paths(base, n + m, substream(seed, rep, 0))
         plans = fp.make_plans((n, m), "sampled", n_plans, seed=(seed, rep, 2))
-        dists = fp.permutation_distributions(
-            pooled, (n, m), plans, ("cvm", "mean_path"), draws
-        )
+        stats = fp.permutation_statistics(pooled, (n, m), plans, ("cvm", "mean_path"), draws)
+        cvm = fp.PermutationDistribution(stats["cvm"])
+        mean_path = fp.PermutationDistribution(stats["mean_path"])
         rng_dec = substream(seed, rep, 3)
-        first = fp.decide(dists["cvm"].observed, dists["cvm"], alpha_cvm, "randomized", rng_dec)
-        second = fp.decide(
-            dists["mean_path"].observed, dists["mean_path"], alpha_mean, "randomized", rng_dec
-        )
+        first = fp.decide(cvm.observed, cvm, alpha_cvm, "randomized", rng_dec)
+        second = fp.decide(mean_path.observed, mean_path, alpha_mean, "randomized", rng_dec)
         # probability that the either-rejects rule fires, given the data
         total += 1.0 - (1.0 - first.phi) * (1.0 - second.phi)
     rate = total / reps
@@ -260,7 +260,9 @@ def test_criterion_9_analytic_engine_tie():
         second = corr * first + math.sqrt(1.0 - corr * corr) * rng.standard_normal(n)
         pooled = np.vstack([np.column_stack([first, second]), control])
         plans = fp.make_plans((n, n), "sampled", 199, seed=(seed, rep, 2))
-        dist = fp.permutation_distributions(pooled, (n, n), plans, ("cvm",), point_mass)["cvm"]
+        dist = fp.PermutationDistribution(
+            fp.permutation_statistics(pooled, (n, n), plans, ("cvm",), point_mass)["cvm"]
+        )
         total += fp.decide(dist.observed, dist, 0.05, "randomized", substream(seed, rep, 3)).phi
     empirical = total / reps
     band = 3.0 * math.sqrt(analytic * (1.0 - analytic) / reps)

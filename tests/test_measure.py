@@ -42,6 +42,19 @@ def test_basis_rejects_bad_index():
         trig_basis(0, 1, 10)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: basis_matrix(0, TimeGrid(4)), "^n_terms must be at least 1, got 0$"),
+    (lambda: expand_coefficients(np.zeros((2, 0)), TimeGrid(4)), "^n_terms must be at least 1, got 0$"),
+    (lambda: trig_basis(2, 1, 0), "^horizon must be >= 1, got 0$"),
+], ids=["basis-no-terms", "expand-no-coefficients", "zero-horizon"])
+def test_basis_refuses_empty_sizes(call, message):
+    # an empty basis or horizon would surface as numpy's concatenate error
+    # or a division by zero; a float horizon is refused with the other
+    # counts in test_simulate.py
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_basis_matrix_shape_and_rows():
     grid = TimeGrid.regular(8)
     psi = basis_matrix(5, grid)

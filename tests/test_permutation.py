@@ -24,7 +24,6 @@ from funcperm import (
     median_peak,
     number_of_assignments,
     p_value,
-    permutation_distributions,
     permutation_statistics,
     sampled_plan_matrix,
 )
@@ -450,13 +449,13 @@ def test_engine_matches_brute_force_exactly():
     pooled = rng.integers(-8, 9, size=(6, 1)) * 0.25
     zvals = rng.integers(-8, 9, size=(3, 1)) * 0.25
     plans = make_plans((3, 3), "exhaustive")
-    dists = permutation_distributions(
+    stats = permutation_statistics(
         pooled, (3, 3), plans, ("cvm", "mean_path", "energy"), MeasureDraws(values=zvals)
     )
     oc, om, oe = brute_force_plan_stats(pooled, (3, 3), zvals)
-    assert dists["cvm"].stats.tolist() == oc
-    assert dists["mean_path"].stats.tolist() == om
-    assert dists["energy"].stats.tolist() == oe
+    assert stats["cvm"].tolist() == oc
+    assert stats["mean_path"].tolist() == om
+    assert stats["energy"].tolist() == oe
 
 
 def test_engine_matches_brute_force_general_data():
@@ -464,13 +463,13 @@ def test_engine_matches_brute_force_general_data():
     pooled = rng.normal(size=(7, 3))
     zvals = rng.normal(size=(5, 3))
     plans = make_plans((4, 3), "exhaustive")
-    dists = permutation_distributions(
+    stats = permutation_statistics(
         pooled, (4, 3), plans, ("cvm", "mean_path", "energy"), MeasureDraws(values=zvals)
     )
     oc, om, oe = brute_force_plan_stats(pooled, (4, 3), zvals)
-    assert np.allclose(dists["cvm"].stats, oc, rtol=1e-12, atol=1e-14)
-    assert np.allclose(dists["mean_path"].stats, om, rtol=1e-12, atol=1e-14)
-    assert np.allclose(dists["energy"].stats, oe, rtol=1e-12, atol=1e-14)
+    assert np.allclose(stats["cvm"], oc, rtol=1e-12, atol=1e-14)
+    assert np.allclose(stats["mean_path"], om, rtol=1e-12, atol=1e-14)
+    assert np.allclose(stats["energy"], oe, rtol=1e-12, atol=1e-14)
 
 
 def test_engine_matches_brute_force_three_groups():
@@ -481,13 +480,13 @@ def test_engine_matches_brute_force_three_groups():
     zvals = rng.normal(size=(6, 3))
     plans = make_plans(sizes, "exhaustive")
     assert len(plans) == 210
-    dists = permutation_distributions(
+    stats = permutation_statistics(
         pooled, sizes, plans, ("cvm", "mean_path", "energy"), MeasureDraws(values=zvals)
     )
     oc, om, oe = brute_force_plan_stats(pooled, sizes, zvals)
-    assert np.allclose(dists["cvm"].stats, oc, rtol=1e-12, atol=1e-14)
-    assert np.allclose(dists["mean_path"].stats, om, rtol=1e-12, atol=1e-14)
-    assert np.allclose(dists["energy"].stats, oe, rtol=1e-12, atol=1e-14)
+    assert np.allclose(stats["cvm"], oc, rtol=1e-12, atol=1e-14)
+    assert np.allclose(stats["mean_path"], om, rtol=1e-12, atol=1e-14)
+    assert np.allclose(stats["energy"], oe, rtol=1e-12, atol=1e-14)
 
 
 def test_engine_identity_plan_matches_standalone():
@@ -497,14 +496,14 @@ def test_engine_identity_plan_matches_standalone():
     pooled = np.vstack(groups)
     draws = MeasureDraws(values=rng.normal(size=(17, 4)))
     plans = make_plans(sizes, "sampled", count=6, seed=8)
-    dists = permutation_distributions(
+    stats = permutation_statistics(
         pooled, sizes, plans, ("cvm", "mean_path", "energy"), draws
     )
-    assert dists["cvm"].observed == cvm_statistic(groups, draws)
-    assert dists["mean_path"].observed == pytest.approx(
+    assert stats["cvm"][0] == cvm_statistic(groups, draws)
+    assert stats["mean_path"][0] == pytest.approx(
         mean_path_statistic(groups), rel=1e-12
     )
-    assert dists["energy"].observed == pytest.approx(
+    assert stats["energy"][0] == pytest.approx(
         energy_statistic(groups), rel=1e-12
     )
 
@@ -911,7 +910,7 @@ def test_engine_rejects_plan_violating_sizes():
     pooled = np.zeros((4, 2))
     bad = np.array([[0, 0, 0, 1]], dtype=np.int8)
     with pytest.raises(ValueError, match="group sizes"):
-        permutation_distributions(pooled, (2, 2), bad, ("mean_path",))
+        permutation_statistics(pooled, (2, 2), bad, ("mean_path",))
     for plans in (np.zeros((1, 5), np.int8), np.zeros(4, np.int8)):
         with pytest.raises(ValueError, match="^plans do not match the pooled sample length$"):
             permutation_statistics(pooled, (2, 2), plans, ("mean_path",))
@@ -992,7 +991,9 @@ def test_conservative_rule_never_exceeds_level_under_null():
         pooled = rng_data.normal(size=(12, 3))
         # key (44, 0) would be the data stream itself: trailing zeros alias
         plans = make_plans((6, 6), "sampled", count=99, seed=(44, 1, rep))
-        dist = permutation_distributions(pooled, (6, 6), plans, ("mean_path",))["mean_path"]
+        dist = PermutationDistribution(
+            permutation_statistics(pooled, (6, 6), plans, ("mean_path",))["mean_path"]
+        )
         hits += decide(dist.observed, dist, alpha, "conservative").rejected
     rate = hits / reps
     assert rate <= alpha + 3 * math.sqrt(alpha * (1 - alpha) / reps)
@@ -1066,7 +1067,9 @@ def test_hand_evaluation_of_critical_value_and_weight_on_tiny_sample():
     rng = np.random.default_rng(14)
     pooled = rng.normal(size=(6, 2))
     plans = make_plans((3, 3), "exhaustive")
-    dist = permutation_distributions(pooled, (3, 3), plans, ("mean_path",))["mean_path"]
+    dist = PermutationDistribution(
+        permutation_statistics(pooled, (3, 3), plans, ("mean_path",))["mean_path"]
+    )
     alpha = 0.1
     ordered = sorted(dist.stats.tolist())
     k = math.ceil(20 * (1 - alpha))

@@ -4,18 +4,23 @@ import json
 import numpy as np
 import pytest
 
-from funcperm import simulate
+from funcperm import permutation, simulate
 from funcperm import (
     CORR_SHIFT,
     MEAN_SHIFT,
     SD_SHIFT,
+    FunctionalSample,
     GroupParams,
+    MeasureSpec,
     StudyConfig,
     TimeGrid,
     apply_design,
     basis_matrix,
     design_paths,
+    draw_functions,
+    run_combined_test,
     run_power_study,
+    sampled_plan_matrix,
     simulate_paths,
     synthetic_baseline,
     trig_basis,
@@ -237,24 +242,41 @@ def test_power_study_threads_do_not_change_results():
     assert serial.to_csv_text() == parallel.to_csv_text()
 
 
-def test_replication_makes_every_decision_in_fixed_order(monkeypatch):
-    # every decision draws from one generator, so their order and number
-    # fix every later randomized tie-break
-    real_distributions, real_decide = simulate.permutation_distributions, simulate.decide
-    names, calls = {}, []
+def _record_decisions(monkeypatch):
+    """Record each decision's statistic and level, and the generator it
+    draws from with that generator's state on entry; every decision then
+    rejects."""
+    real_statistics, real_decide = permutation.permutation_statistics, permutation.decide
+    computed, calls, streams = {}, [], []
 
-    def recording_distributions(*args):
-        dists = real_distributions(*args)
-        names.update({id(dist): name for name, dist in dists.items()})
-        return dists
+    def recording_statistics(*args):
+        stats = real_statistics(*args)
+        computed.update(stats)
+        return stats
 
     def rejecting_decide(observed, dist, alpha, mode, rng):
-        calls.append((names[id(dist)], alpha))
-        # a rejection must not skip the test's remaining decisions
+        name = next(name for name, stats in computed.items() if np.array_equal(stats, dist.stats))
+        calls.append((name, alpha))
+        streams.append((rng, rng.bit_generator.state))
+        # a rejection must not skip the remaining decisions
         return dataclasses.replace(real_decide(observed, dist, alpha, mode, rng), rejected=True)
 
-    monkeypatch.setattr(simulate, "permutation_distributions", recording_distributions)
-    monkeypatch.setattr(simulate, "decide", rejecting_decide)
+    monkeypatch.setattr(permutation, "permutation_statistics", recording_statistics)
+    monkeypatch.setattr(permutation, "decide", rejecting_decide)
+    return calls, streams
+
+
+def _one_stream(streams, *key):
+    # every decision draws from one generator, the one keyed ``key``, so
+    # their order and number fix every later randomized tie-break
+    return (
+        all(rng is streams[0][0] for rng, _ in streams)
+        and streams[0][1] == substream(*key).bit_generator.state
+    )
+
+
+def test_replication_makes_every_decision_in_fixed_order(monkeypatch):
+    calls, streams = _record_decisions(monkeypatch)
     config = StudyConfig(
         designs=(1,),
         tests=("energy", "combined", "cvm"),
@@ -276,6 +298,19 @@ def test_replication_makes_every_decision_in_fixed_order(monkeypatch):
     total = 0.03 + 0.02
     assert calls == [("cvm", total), ("cvm", 0.03), ("mean_path", 0.02), ("energy", total)]
     assert out == {"cvm": True, "combined": True, "energy": True}
+    assert _one_stream(streams, 5, 1, 0, 3)  # (seed, design, rep, decisions)
+
+
+def test_combined_test_makes_both_decisions_from_one_stream(monkeypatch):
+    calls, streams = _record_decisions(monkeypatch)
+    rng = np.random.default_rng(6)
+    sample = FunctionalSample(rng.normal(size=(9, 5)), np.repeat([0, 1, 2], 3), TimeGrid(5))
+    draws = draw_functions(MeasureSpec(3, 0.0, seed=(8, 1)), TimeGrid(5), 16)
+    plans = sampled_plan_matrix((3, 3, 3), 19, seed=(8, 2))
+    result = run_combined_test(sample, draws, plans, 0.03, 0.02, seed=(8, 3))
+    assert calls == [("cvm", 0.03), ("mean_path", 0.02)]
+    assert result.cvm.rejected and result.mean_path.rejected
+    assert _one_stream(streams, 8, 3, 1)
 
 
 def test_power_table_formats():
@@ -398,8 +433,9 @@ def test_study_counts_must_be_integers(monkeypatch, setting):
         lambda n: apply_design(1, synthetic_baseline(8), (n, 3, 3)),
         lambda n: basis_matrix(n, TimeGrid(8)),
         lambda n: trig_basis(n, 1, 8),
+        lambda n: trig_basis(2, 1, n),
     ],
-    ids=["horizon", "group-size", "n-terms", "basis-index"],
+    ids=["horizon", "group-size", "n-terms", "basis-index", "basis-horizon"],
 )
 def test_design_and_basis_counts_must_be_integers(call, value):
     # np.arange(2.5) has 3 slots and True would be read as 1: a count
