@@ -91,13 +91,15 @@ class GroupParams:
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """A fully resolved experiment: control plus shifted treatment groups."""
+    """A fully resolved experiment: control plus shifted treatment groups,
+    of integer sizes (a bool or a float raises TypeError)."""
 
     design_id: int
     groups: tuple[GroupParams, ...]
     group_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "group_sizes", tuple(map(_index, self.group_sizes)))
         if len(self.groups) != len(self.group_sizes):
             raise ValueError("one parameter set per group is required")
         if any(n < 1 for n in self.group_sizes):
@@ -151,7 +153,7 @@ def apply_design(
     """
     if design_id not in _DESIGN_SHIFTS:
         raise ValueError(f"unknown design id {design_id}; expected 1..10")
-    sizes = tuple(map(_index, group_sizes))
+    sizes = tuple(group_sizes)
     if len(sizes) != 3:
         raise ValueError("designs are defined for a control and two treatments")
     groups = [baseline]
@@ -364,7 +366,7 @@ def run_study(config: StudyConfig, threads: int = 1) -> PowerTable:
     ``threads`` > 1 distributes replications across processes without
     changing any output.
     """
-    if threads < 1:
+    if _index(threads) < 1:
         raise ValueError(f"threads must be at least 1, got {threads!r}")
     baseline = synthetic_baseline(config.horizon)
     specs = [

@@ -28,7 +28,9 @@ Numerical contract:
 * the CvM indicator equals the pointwise ``<=`` test exactly: it is built
   from per-grid-point sorted orders, prefix bitmasks and bitwise ANDs
   into packed uint64 words, one row per draw, so only comparisons decide
-  it and no arithmetic touches a path value (draws must be finite).
+  it and no arithmetic touches a path value (draws must be finite).  At
+  each grid point a draw selects the prefix of the paths at or below it,
+  one ``searchsorted(side="right")`` of the draws into the sorted paths.
   :func:`indicator_matrix` unpacks the words into a ``bool`` (N, L)
   matrix; the CvM step counts each draw's paths from the words and keeps
   only the informative draws' words, N * L' / 8 bytes.  It unpacks them
@@ -88,8 +90,8 @@ from .rng import _index
 _MAX_EXACT_COUNT = 1 << 24
 
 # Bytes that indicator_matrix may hold for one block of grid points: their
-# prefix-bitmask tables and their sort and index arrays.  Small blocks stay
-# in cache.
+# prefix-bitmask tables, their path sort arrays and their draws.  Small
+# blocks stay in cache.
 _INDICATOR_BLOCK_BYTES = 1 << 20
 
 # Bytes that permutation_statistics may hold for one block of plan rows: bool
@@ -166,36 +168,19 @@ def _indicator_words(paths, zvalues) -> np.ndarray:
     acc = np.full((n_draws, words), np.iinfo(np.uint64).max, dtype=np.uint64)
     acc[:, -1] = (1 << (n_paths - 64 * (words - 1))) - 1
     path_cols = np.ascontiguousarray(paths.T)
-    # per grid point: its table and about eight int64 or float64 sort and
-    # index arrays of one entry per path or draw
-    block = max(1, _INDICATOR_BLOCK_BYTES // (8 * (words * (n_paths + 1) + 8 * (n_paths + n_draws))))
+    # per grid point: its table, three int64 arrays of one entry per path
+    # (the sort order, its word indices and its bits) and its draws
+    block = max(1, _INDICATOR_BLOCK_BYTES // (8 * (words * (n_paths + 1) + 3 * n_paths + n_draws)))
     for start in range(0, width, block):
         x = path_cols[start:start + block]
         z = np.ascontiguousarray(zvalues[:, start:start + block].T)
-        n_points = x.shape[0]
-        point = np.arange(n_points)[:, None]
         x_order = np.argsort(x, axis=1)
-        x_sorted = x.ravel().take(x_order + point * n_paths)
-        # flat indices into z, in each grid point's sorted draw order
-        z_order = np.argsort(z, axis=1)
-        z_order += point * n_draws
-        z_sorted = z.ravel().take(z_order)
-        tables = np.zeros((n_points, n_paths + 1, words), dtype=np.uint64)
-        tables[point, np.arange(1, n_paths + 1), x_order >> 6] = bits[x_order]
+        tables = np.zeros((len(x), n_paths + 1, words), dtype=np.uint64)
+        tables[np.arange(len(x))[:, None], np.arange(1, n_paths + 1), x_order >> 6] = bits[x_order]
         np.bitwise_or.accumulate(tables, axis=1, out=tables)
-        # prefix length at each sorted draw position, from the number of
-        # draws strictly below each path
-        strictly_below = np.stack([np.searchsorted(zs, xs) for zs, xs in zip(z_sorted, x_sorted)])
-        strictly_below += point * (n_draws + 1)
-        prefix = np.bincount(strictly_below.ravel(), minlength=n_points * (n_draws + 1))
-        prefix = prefix.reshape(n_points, n_draws + 1)[:, :n_draws].cumsum(axis=1)
-        # each draw's table row, in draw order, as a row of the flat tables
-        prefix += point * (n_paths + 1)
-        rows = np.empty(z.shape, dtype=np.intp)
-        rows.ravel()[z_order] = prefix
-        flat_tables = tables.reshape(-1, words)
-        for point_rows in rows:
-            acc &= flat_tables.take(point_rows, axis=0)
+        # each draw's table row is the number of paths at or below it
+        for table, xs, order, zs in zip(tables, x, x_order, z):
+            acc &= table.take(np.searchsorted(xs[order], zs, side="right"), axis=0)
     return acc
 
 
@@ -214,13 +199,14 @@ def indicator_matrix(paths, zvalues) -> np.ndarray:
     sorted path order (tied paths are all in or all out), so the draw
     selects one row of a table of prefix bitmasks: row c holds the bits
     of the c lowest paths, path i being bit i % 64 of uint64 word i // 64.
-    The prefix length c comes from the draws' sorted order: path i is at
-    or below the draw in sorted position q iff at most q draws lie
-    strictly below path i, which one ``searchsorted`` of the sorted paths
-    per grid point counts.  The rows each draw selects are AND-ed over
-    the grid points into one row of packed words per draw, and this
-    function unpacks them; the CvM step of :func:`permutation_statistics`
-    counts and unpacks the same words itself.  Only comparisons in
+    The prefix length c is the number of paths at or below the draw, one
+    ``searchsorted(side="right")`` of the draws into the sorted paths per
+    grid point, so tied paths and -0.0 against +0.0 count in, and NaN
+    paths (sorted last) and +inf paths (above every finite draw) do not.
+    The rows each draw selects are AND-ed over the grid points into one
+    row of packed words per draw, and this function unpacks them; the CvM
+    step of :func:`permutation_statistics` counts and unpacks the same
+    words itself.  Only comparisons in
     numpy's sort order decide the result, so it equals the pointwise
     ``<=`` test exactly, also for NaN, +inf and -inf paths and for -0.0
     against +0.0.  Draws must be finite: a NaN draw would sort above every
@@ -228,7 +214,7 @@ def indicator_matrix(paths, zvalues) -> np.ndarray:
 
     A grid point's table takes (N + 1) * ceil(N/64) * 8 bytes, which is
     more than the N x L result once N exceeds about 16 L.  Grid points
-    are taken in blocks whose tables and sort arrays fit
+    are taken in blocks whose tables, sort arrays and draws fit
     ``_INDICATOR_BLOCK_BYTES`` (at least one point per block).  The
     result is the transpose of an (L, N) array.
     """
@@ -441,14 +427,11 @@ def _cvm_step(sizes, words: np.ndarray, pooled_hits, width: int, base: int, n_wo
     def reduce(labels: np.ndarray, total: np.ndarray) -> None:
         n_rows = labels.shape[1]
         masks = packed[:n_words * n_rows * n_paths].reshape(n_words, n_rows, n_paths)
-        # weight-B treatments first, so that they set the mixed words
-        for s in range(n_treat, 0, -1):
-            if s > n_words:
-                np.multiply(labels[s], np.float32(base), out=masks[s - 1 - n_words])
-            elif s > n_high:
-                np.copyto(masks[s - 1], labels[s])
-            else:
-                np.add(masks[s - 1], labels[s], out=masks[s - 1])
+        # the weight-B treatments set the mixed words, the first n_high
+        # treatments add into them, and the rest fill the other words
+        np.multiply(labels[n_words + 1:], np.float32(base), out=masks[:n_high])
+        np.add(masks[:n_high], labels[1:n_high + 1], out=masks[:n_high])
+        np.copyto(masks[n_high:], labels[n_high + 1:n_words + 1])
         masks = masks.reshape(n_words * n_rows, n_paths)
         for first in range(0, n_cols, _CVM_DRAW_BLOCK):
             last = min(first + _CVM_DRAW_BLOCK, n_cols)

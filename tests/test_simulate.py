@@ -9,6 +9,7 @@ from funcperm import (
     CORR_SHIFT,
     MEAN_SHIFT,
     SD_SHIFT,
+    DesignSpec,
     FunctionalSample,
     GroupParams,
     MeasureSpec,
@@ -410,13 +411,16 @@ def test_bad_study_setting_rejected_before_any_replication(monkeypatch, setting,
     "setting",
     [{"reps": 2.7}, {"reps": "3"}, {"designs": [1.5]}, {"n_perms": 19.0}, {"group_sizes": (3, 3, 3.5)},
      {"horizon": 8.0}, {"n_terms": 3.0}, {"n_draws": "8"}, {"seed": (2, 0.5)},
-     {"designs": [True]}, {"reps": True}, {"group_sizes": (3, True, 3)}, {"seed": True}],
+     {"designs": [True]}, {"reps": True}, {"group_sizes": (3, True, 3)}, {"seed": True},
+     {"threads": True}, {"threads": 2.0}],
     ids=["reps-float", "reps-text", "design-float", "perms-float", "size-float", "horizon-float",
-         "terms-float", "draws-text", "seed-float", "design-bool", "reps-bool", "size-bool", "seed-bool"],
+         "terms-float", "draws-text", "seed-float", "design-bool", "reps-bool", "size-bool", "seed-bool",
+         "threads-bool", "threads-float"],
 )
 def test_study_counts_must_be_integers(monkeypatch, setting):
     # a truncated count, or True read as 1, would run a different study
-    # than the one asked for
+    # than the one asked for; a thread count is refused before any pool
+    # exists
     def no_replication(*args):
         raise AssertionError("a replication ran")
 
@@ -434,8 +438,9 @@ def test_study_counts_must_be_integers(monkeypatch, setting):
         lambda n: basis_matrix(n, TimeGrid(8)),
         lambda n: trig_basis(n, 1, 8),
         lambda n: trig_basis(2, 1, n),
+        lambda n: DesignSpec(1, (synthetic_baseline(8),) * 3, (n, 3, 3)),
     ],
-    ids=["horizon", "group-size", "n-terms", "basis-index", "basis-horizon"],
+    ids=["horizon", "group-size", "n-terms", "basis-index", "basis-horizon", "design-size"],
 )
 def test_design_and_basis_counts_must_be_integers(call, value):
     # np.arange(2.5) has 3 slots and True would be read as 1: a count

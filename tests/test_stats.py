@@ -6,13 +6,18 @@ import pytest
 from funcperm import stats
 from funcperm import (
     MeasureDraws,
+    MeasureSpec,
+    TimeGrid,
     cvm_statistic,
+    draw_functions,
     ecdf_indicator,
     energy_statistic,
     indicator_matrix,
     mean_path_statistic,
+    median_peak,
     pairwise_distances,
     permutation_statistics,
+    sampled_plan_matrix,
 )
 
 
@@ -225,20 +230,67 @@ def test_indicator_matrix_peak_memory_bounded_by_block_budget(monkeypatch):
     assert peak <= 1.1 * layout
 
 
+def _loop_words(paths, zvalues) -> np.ndarray:
+    """The comparison loop's indicator as the kernel's packed words: path
+    i is bit i % 64 of little-endian uint64 word i // 64, bits past path
+    N - 1 are 0."""
+    below = _indicator_loop(paths, zvalues)
+    n_paths, n_draws = below.shape
+    bits = np.zeros((n_draws, 64 * max(1, -(-n_paths // 64))), dtype=np.uint8)
+    bits[:, :n_paths] = below.T
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def _cvm_by_kernel_and_loop(monkeypatch, pooled, sizes, plans, draws):
+    """cvm under every plan from the kernel's words, then from the
+    comparison loop's words put in their place."""
+    kernel = permutation_statistics(pooled, sizes, plans, ("cvm",), draws)["cvm"]
+    monkeypatch.setattr(stats, "_indicator_words", _loop_words)
+    loop = permutation_statistics(pooled, sizes, plans, ("cvm",), draws)["cvm"]
+    return kernel, loop
+
+
+def _on_lattice(values) -> np.ndarray:
+    """``values`` rounded to multiples of 1/8, so that paths and draws tie
+    at every grid point."""
+    return np.round(np.asarray(values) * 8.0) / 8.0
+
+
 def test_cvm_statistics_unchanged_by_the_indicator_kernel(monkeypatch):
     # every plan statistic is a function of the indicator alone, so the
-    # kernel must give the same bits as the comparison loop
+    # kernel must give the same bits as the comparison loop, ties included
     rng = np.random.default_rng(19)
     sizes = (40, 35, 45)
-    pooled = rng.normal(size=(sum(sizes), 24)).cumsum(axis=1) * 0.3
-    draws = MeasureDraws(values=rng.normal(size=(300, 24)).cumsum(axis=1) * 0.3 + 0.5)
+    pooled = _on_lattice(rng.normal(size=(sum(sizes), 24)).cumsum(axis=1) * 0.3)
+    draws = MeasureDraws(values=_on_lattice(rng.normal(size=(300, 24)).cumsum(axis=1) * 0.3 + 0.5))
     plans = np.stack([rng.permutation(np.repeat(np.arange(3), sizes)) for _ in range(50)])
     plans[0] = np.repeat(np.arange(3), sizes)
-    kernel = permutation_statistics(pooled, sizes, plans, ("cvm",), draws)["cvm"]
-    monkeypatch.setattr(stats, "indicator_matrix", _indicator_loop)
-    loop = permutation_statistics(pooled, sizes, plans, ("cvm",), draws)["cvm"]
+    kernel, loop = _cvm_by_kernel_and_loop(monkeypatch, pooled, sizes, plans, draws)
     assert kernel.tobytes() == loop.tobytes()
     assert np.count_nonzero(kernel) > 0
+
+
+def test_cvm_statistics_unchanged_by_the_indicator_kernel_at_cohort_shape(monkeypatch):
+    # N = 1492 paths in 5 groups, J = 48, Q = 500, on the lattice: more
+    # informative draws than one CvM draw block and more plans than one
+    # plan block
+    rng = np.random.default_rng(29)
+    sizes = (304, 297, 297, 297, 297)
+    noise = rng.normal(size=(sum(sizes), 48))
+    for t in range(1, 48):
+        noise[:, t] = 0.4 * noise[:, t - 1] + 0.9 * noise[:, t]
+    angle = 2.0 * np.pi * np.arange(48) / 48
+    pooled = _on_lattice(1.6 + 0.6 * np.sin(angle) + 0.3 * np.sin(2.0 * angle) + 0.5 * noise)
+    spec = MeasureSpec(n_terms=19, mean_level=median_peak(pooled), seed=(29, 1))
+    draws = MeasureDraws(values=_on_lattice(draw_functions(spec, TimeGrid.regular(48), 1200).values))
+    plans = sampled_plan_matrix(sizes, 500, seed=(29, 2))
+    n_informative = len(stats._cvm_hits(pooled, draws.values)[0])
+    row_bytes, _ = stats._STATISTICS["cvm"].prepare(pooled, sizes, draws)
+    assert n_informative > stats._CVM_DRAW_BLOCK
+    assert stats._block_rows(len(sizes) * len(pooled) + row_bytes) < len(plans)
+    kernel, loop = _cvm_by_kernel_and_loop(monkeypatch, pooled, sizes, plans, draws)
+    assert kernel.tobytes() == loop.tobytes()
+    assert np.count_nonzero(kernel) == len(plans)
 
 
 # ---------------------------------------------------------------------------
