@@ -16,6 +16,7 @@ permutation test must agree with the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,7 +33,10 @@ def _critical(level: float, df: int) -> float:
     return chisq_quantile(1.0 - level, df)
 
 
-def _chisq_power(ncp: float, df: int, level: float) -> float:
+def _chisq_power(shift: float, ncp: float, df: int, level: float) -> float:
+    # the tail at noncentrality ncp, which a NaN shift leaves undefined
+    if math.isnan(shift):
+        raise ValueError("the shift must not be NaN")
     return noncentral_chisq_sf(_critical(level, df), df, ncp)
 
 
@@ -42,8 +46,11 @@ def null_variance(x1: float, x2: float) -> float:
     Equals 2 F (1 - F) with F = Phi(x1) Phi(x2).  Positive in exact
     arithmetic, but in floating point it rounds to 0 once F falls below
     the smallest double or 1 - F below about 1e-16, that is at points deep
-    in the tails such as (-40, 0) or (9, 9).
+    in the tails such as (-40, 0) or (9, 9).  A NaN coordinate raises
+    ValueError.
     """
+    if math.isnan(x1) or math.isnan(x2):
+        raise ValueError(f"evaluation point ({x1}, {x2}) has a NaN coordinate")
     f = normal_cdf(x1) * normal_cdf(x2)
     return 2.0 * f * (1.0 - f)
 
@@ -72,7 +79,7 @@ def cvm_power_mean_shift(
     shift: float, x1: float, x2: float, level: float = DEFAULT_LEVEL
 ) -> float:
     """Local power of the CDF-distance test against a mean shift."""
-    return _chisq_power(mean_shift_ncp_coefficient(x1, x2) * shift**2, 1, level)
+    return _chisq_power(shift, mean_shift_ncp_coefficient(x1, x2) * shift**2, 1, level)
 
 
 def mean_comparison_power(shift: float, level: float = DEFAULT_LEVEL) -> float:
@@ -81,7 +88,7 @@ def mean_comparison_power(shift: float, level: float = DEFAULT_LEVEL) -> float:
     Noncentral chi-square with two degrees of freedom and noncentrality
     shift^2 / 2.
     """
-    return _chisq_power(0.5 * shift**2, 2, level)
+    return _chisq_power(shift, 0.5 * shift**2, 2, level)
 
 
 def cvm_power_variance_shift(
@@ -95,7 +102,7 @@ def cvm_power_variance_shift(
     drift = shift * (
         x1 * normal_pdf(x1) * normal_cdf(x2) + x2 * normal_cdf(x1) * normal_pdf(x2)
     )
-    return _chisq_power(_cvm_ncp(drift, x1, x2), 1, level)
+    return _chisq_power(shift, _cvm_ncp(drift, x1, x2), 1, level)
 
 
 def variance_comparison_power(shift: float, level: float = DEFAULT_LEVEL) -> float:
@@ -104,7 +111,7 @@ def variance_comparison_power(shift: float, level: float = DEFAULT_LEVEL) -> flo
     Noncentrality shift^2 / (1 + shift^4) with two degrees of freedom;
     note this expression is not monotone beyond shift = 1.
     """
-    return _chisq_power(shift**2 / (1.0 + shift**4), 2, level)
+    return _chisq_power(shift, shift**2 / (1.0 + shift**4), 2, level)
 
 
 def cvm_power_correlation_shift(
@@ -115,7 +122,7 @@ def cvm_power_correlation_shift(
     Drift: rho phi(x1) phi(x2); depends on rho only through rho^2.
     """
     drift = rho * normal_pdf(x1) * normal_pdf(x2)
-    return _chisq_power(_cvm_ncp(drift, x1, x2), 1, level)
+    return _chisq_power(rho, _cvm_ncp(drift, x1, x2), 1, level)
 
 
 def correlation_comparison_power(rho: float, level: float = DEFAULT_LEVEL) -> float:
@@ -124,7 +131,7 @@ def correlation_comparison_power(rho: float, level: float = DEFAULT_LEVEL) -> fl
     Noncentrality rho^2 / [1 + (1 - rho^2)^2] with one degree of freedom;
     not monotone beyond rho^2 = sqrt(2).
     """
-    return _chisq_power(rho**2 / (1.0 + (1.0 - rho**2) ** 2), 1, level)
+    return _chisq_power(rho, rho**2 / (1.0 + (1.0 - rho**2) ** 2), 1, level)
 
 
 @dataclass(frozen=True)
@@ -184,6 +191,8 @@ def shift_curve(kind: str, shifts: Sequence[float] | None = None, x1: float | No
     """Powers of the CDF-distance test and its comparator against the
     ``kind`` shift (a key of :data:`SHIFTS`).  Shifts, and each evaluation
     coordinate, default to the row's grid and point."""
+    if kind not in SHIFTS:
+        raise ValueError(f"unknown shift kind {kind!r}: expected one of {', '.join(SHIFTS)}")
     row = SHIFTS[kind]
     shifts = row.grid if shifts is None else shifts
     x1 = row.eval_points[0] if x1 is None else x1

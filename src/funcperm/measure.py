@@ -35,7 +35,8 @@ _SQRT3 = math.sqrt(3.0)
 class MeasureSpec:
     """Parameters of the random-function law.
 
-    ``n_terms`` must be odd so the expansion pairs each cosine with a sine.
+    ``n_terms`` must be odd so the expansion pairs each cosine with a sine,
+    and ``mean_level`` a finite number (a bool raises TypeError).
     The coefficient scale and the student-t df are fixed (module docstring).
     """
 
@@ -48,6 +49,8 @@ class MeasureSpec:
         object.__setattr__(self, "n_terms", _index(self.n_terms))
         if self.n_terms < 1 or self.n_terms % 2 == 0:
             raise ValueError(f"n_terms must be an odd positive integer, got {self.n_terms}")
+        if isinstance(self.mean_level, (bool, np.bool_)):
+            raise TypeError(f"mean_level must be a number, got {self.mean_level!r}")
         if not np.isfinite(self.mean_level):
             raise ValueError(f"mean_level must be finite, got {self.mean_level!r}")
         if self.law not in COEFF_LAWS:

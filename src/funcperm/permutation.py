@@ -253,24 +253,14 @@ def decide(
     if not math.isfinite(observed):
         raise ValueError(f"the observed statistic must be finite, got {observed!r}")
     threshold = critical_value(dist, alpha)  # validates alpha
-    stats = dist.stats
-    if observed > threshold:
-        phi = 1.0
-        rejected = True
-    elif observed == threshold:
-        q_above = int(np.count_nonzero(stats > threshold))
-        q_equal = int(np.count_nonzero(stats == threshold))
-        boundary = (dist.n_plans * alpha - q_above) / q_equal
-        boundary = min(max(boundary, 0.0), 1.0)
-        if mode == "randomized":
-            phi = boundary
-            rejected = bool(rng.random() < boundary)
-        else:
-            phi = 0.0
-            rejected = False
-    else:
-        phi = 0.0
-        rejected = False
+    phi = float(observed > threshold)
+    # a randomized tie rejects, by one uniform, with the share of the level
+    # that the plans above the critical value leave to the tied plans
+    tie = mode == "randomized" and observed == threshold
+    if tie:
+        left = dist.n_plans * alpha - np.count_nonzero(dist.stats > threshold)
+        phi = min(max(left / np.count_nonzero(dist.stats == threshold), 0.0), 1.0)
+    rejected = bool(rng.random() < phi) if tie else phi == 1.0
     return TestResult(
         observed=float(observed),
         critical=threshold,

@@ -5,7 +5,8 @@ shared time grid of J slots, plus a group label per unit; the grid holds
 only J.  Group ids must be the contiguous integers 0..S, and group 0 is
 the control group by convention.
 
-CSV contract (UTF-8, comma separated, no quoting of numeric fields)::
+CSV contract (UTF-8, one leading byte-order mark allowed, comma
+separated, no quoting of numeric fields)::
 
     id,group,t1,...,tJ
     1,0,0.31,0.28,...
@@ -149,7 +150,8 @@ def _text_lines(source: Source):
         data = source.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return io.StringIO(data)
+    # spreadsheet "CSV UTF-8" exports begin with a byte-order mark
+    return io.StringIO(data.removeprefix("\ufeff"))
 
 
 def _finite_values(row: list[str], row_no: int) -> list[float]:

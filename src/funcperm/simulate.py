@@ -211,12 +211,22 @@ def design_paths(design: DesignSpec, rng: np.random.Generator) -> np.ndarray:
     return _gaussian_paths(mu, sigma, rho, noise)
 
 
+def _real(value, name: str) -> float:
+    """``float`` of the setting ``name`` that refuses a bool: ``True`` is a
+    flag, not the number 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """One power study's settings, checked once.
 
     Each requested test runs at total level ``sum(alpha_split)``; the
-    combined test splits that total as given.  Counts must be integers.
+    combined test splits that total as given.  Counts must be integers,
+    levels and the shift scale numbers, and ``designs`` and ``tests``
+    sequences, not strings.
     ``power_config.json`` is ``dataclasses.asdict`` of it, in field order.
     """
 
@@ -239,16 +249,20 @@ class StudyConfig:
         # tuples and plain numbers, so that the settings echo reads the same
         # whatever sequence and number types the caller passed; a count
         # that is not an integer (a bool included) raises instead of being
-        # truncated
+        # truncated, and so does a bool for a level or a scale; a bare
+        # string is not read as a sequence of one-character names
+        for name in ("designs", "tests"):
+            if isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} needs a sequence, got the string {getattr(self, name)!r}")
         entropy = seed_entropy(self.seed)  # the key's own checks
         normal = {
             "designs": tuple(map(_index, self.designs)),
             "tests": tuple(self.tests),
-            "alpha_split": tuple(map(float, self.alpha_split)),
-            "mean_level": self.mean_level if self.mean_level == "auto" else float(self.mean_level),
+            "alpha_split": tuple(_real(alpha, "alpha_split") for alpha in self.alpha_split),
+            "mean_level": "auto" if self.mean_level == "auto" else _real(self.mean_level, "mean_level"),
             "group_sizes": tuple(map(_index, self.group_sizes)),
             "seed": entropy[0] if isinstance(self.seed, (int, np.integer)) else entropy,
-            "shift_scale": float(self.shift_scale),
+            "shift_scale": _real(self.shift_scale, "shift_scale"),
         }
         for name in ("reps", "n_perms", "n_terms", "n_draws", "horizon"):
             normal[name] = _index(getattr(self, name))

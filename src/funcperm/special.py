@@ -42,11 +42,17 @@ def normal_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-def _check(x: float, df: float) -> None:
+def _check(x: float, df: float, ncp: float = 0.0) -> None:
     if df not in (1, 2):
         raise ValueError(f"degrees of freedom must be 1 or 2, got {df}")
+    if math.isnan(x):
+        raise ValueError("argument must not be NaN")
     if x < 0:
         raise ValueError("argument must be nonnegative")
+    if math.isnan(ncp):
+        raise ValueError("noncentrality must not be NaN")
+    if ncp < 0:
+        raise ValueError("noncentrality must be nonnegative")
 
 
 def chisq_cdf(x: float, df: float) -> float:
@@ -94,11 +100,9 @@ def noncentral_chisq_sf(x: float, df: float, ncp: float) -> float:
     each the Poisson(x/2) mass on 0..j.  Both Poisson recursions start
     from exp(-ncp/2) and exp(-x/2) with their powers of two carried apart
     (see :func:`_exp_neg`), so neither start underflows; ncp or x above
-    2e6 raises.
+    2e6 raises, as does a NaN ncp or x.
     """
-    _check(x, df)
-    if ncp < 0:
-        raise ValueError("noncentrality must be nonnegative")
+    _check(x, df, ncp)
     if df == 1:
         root, cut = math.sqrt(ncp), math.sqrt(x)
         return normal_cdf(root - cut) + normal_cdf(-root - cut)

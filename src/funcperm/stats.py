@@ -77,7 +77,6 @@ partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -322,7 +321,7 @@ def _cvm_hits(pooled: np.ndarray, zvalues) -> tuple[np.ndarray, np.ndarray]:
     group under every plan: it adds exactly 0 but still counts in L, so
     it is dropped here.  The pooled counts come from the packed words
     through a byte popcount table.  The words stay packed, N * L' / 8
-    bytes; :func:`_cvm_step` unpacks them one draw block at a time.
+    bytes; the CvM step unpacks them one draw block at a time.
     """
     words = _indicator_words(pooled, zvalues)
     pooled_count = _POPCOUNT[words.view(np.uint8)].sum(axis=1)
@@ -354,12 +353,14 @@ def _label_planes(rows: np.ndarray, sizes, planes: np.ndarray) -> np.ndarray:
     """(S+1, B, N) bool planes of a block of plan rows, plane s marking
     group s, in the flat buffer ``planes``; raises ValueError unless every
     row gives each group its size."""
-    n_rows, n_paths = rows.shape
-    labels = planes[:len(sizes) * n_rows * n_paths].reshape(len(sizes), n_rows, n_paths)
-    for s, plane in enumerate(labels):
-        np.equal(rows, s, out=plane)
-        if not np.all(np.count_nonzero(plane, axis=1) == sizes[s]):
-            raise ValueError("a plan does not respect the group sizes")
+    (n_rows, n_paths), n_groups = rows.shape, len(sizes)
+    labels = planes[:n_groups * n_rows * n_paths].reshape(n_groups, n_rows, n_paths)
+    # same-dtype labels keep the comparison in the rows' dtype; a dtype too
+    # narrow for the last label wraps them, and no row can then hold it
+    np.equal(rows, np.arange(n_groups, dtype=rows.dtype)[:, None, None], out=labels)
+    counts = np.count_nonzero(labels, axis=2)
+    if n_groups > np.iinfo(rows.dtype).max + 1 or np.any(counts != np.array(sizes)[:, None]):
+        raise ValueError("a plan does not respect the group sizes")
     return labels
 
 
@@ -392,67 +393,61 @@ def _cvm_check(sizes, draws: MeasureDraws | None) -> None:
 def _cvm_prepare(pooled: np.ndarray, sizes, draws: MeasureDraws):
     """A row holds float32 mask words (see :func:`_cvm_base`) and, for one
     draw block (see :func:`_cvm_hits`), float32 treatment and control
-    counts and float64 control and treatment means."""
+    counts and float64 control and treatment means; ``bind`` allocates
+    them once.  Its step packs the treatment planes two to a mask word
+    with weight B, or one if B is 0, and takes the informative draws in
+    blocks of ``_CVM_DRAW_BLOCK`` in draw order: one product with a block's
+    unpacked float32 (draws, N) indicator gives the words' counts, split
+    back out exactly, and the float64 steps add the block's terms to the
+    totals row by row.  The block edges depend only on L', so a plan's
+    value is a fixed function of its partition.
+    """
     words, pooled_hits = _cvm_hits(pooled, draws.values)
+    (n_cols, _), n_paths, width = words.shape, len(pooled), len(draws.values)
     base, n_treat = _cvm_base(sizes), len(sizes) - 1
     n_words = -(-n_treat // 2) if base else n_treat
-    row_bytes = 4 * n_words * len(pooled) + (4 * n_treat + 20) * min(len(words), _CVM_DRAW_BLOCK)
-    return row_bytes, partial(_cvm_step, sizes, words, pooled_hits, len(draws.values), base, n_words)
-
-
-def _cvm_step(sizes, words: np.ndarray, pooled_hits, width: int, base: int, n_words: int, block: int):
-    """The CvM ``step(labels, total)``, whose mask-word, count and draw
-    buffers, for blocks of at most ``block`` rows, are allocated once.
-
-    ``words`` and ``pooled_hits`` are the informative draws' packed
-    indicator words and pooled counts; ``width`` counts every draw.  The
-    treatment planes are packed into ``n_words`` float32 mask words per
-    row, two to a word with weight ``base`` or one if it is 0.  The draws
-    are taken in blocks of ``_CVM_DRAW_BLOCK``, in draw order: a block's
-    words are unpacked into one float32 (draws, N) buffer, one product
-    with it gives the mask words' counts, which are split back out
-    exactly, and the float64 steps add the block's terms to the totals
-    row by row.  The draw-block edges depend only on L', so a plan's value
-    is a fixed function of its partition.
-    """
-    (n_cols, _), n_paths, n_treat = words.shape, sum(sizes), len(sizes) - 1
     # treatments 1..n_words take weight 1 in words 0..n_words - 1; the rest
     # take weight B in words 0..n_high - 1, the mixed words
     n_high = n_treat - n_words
     n_draws = min(n_cols, _CVM_DRAW_BLOCK)
-    packed = np.empty(n_words * block * n_paths, dtype=np.float32)
-    buffer = np.empty(n_treat * block * n_draws, dtype=np.float32)
-    hits = np.empty((n_draws, n_paths), dtype=np.float32)
 
-    def reduce(labels: np.ndarray, total: np.ndarray) -> None:
-        n_rows = labels.shape[1]
-        masks = packed[:n_words * n_rows * n_paths].reshape(n_words, n_rows, n_paths)
-        # the weight-B treatments set the mixed words, the first n_high
-        # treatments add into them, and the rest fill the other words
-        np.multiply(labels[n_words + 1:], np.float32(base), out=masks[:n_high])
-        np.add(masks[:n_high], labels[1:n_high + 1], out=masks[:n_high])
-        np.copyto(masks[n_high:], labels[n_high + 1:n_words + 1])
-        masks = masks.reshape(n_words * n_rows, n_paths)
-        for first in range(0, n_cols, _CVM_DRAW_BLOCK):
-            last = min(first + _CVM_DRAW_BLOCK, n_cols)
-            block_hits = hits[:last - first]
-            np.copyto(block_hits, _unpack_words(words[first:last], n_paths))
-            # the product fills the leading n_words planes of the counts
-            counts = buffer[:n_treat * n_rows * (last - first)].reshape(n_treat, n_rows, last - first)
-            np.matmul(masks, block_hits.T, out=counts[:n_words].reshape(n_words * n_rows, last - first))
-            if n_high:
-                # a mixed word's x = c_a + B c_b: x / B has integer part c_b
-                # and fraction c_a / B, each step exact
-                mixed, high = counts[:n_high], counts[n_words:]
-                np.multiply(mixed, np.float32(1 / base), out=mixed)
-                np.floor(mixed, out=high)
-                np.subtract(mixed, high, out=mixed)
-                np.multiply(mixed, np.float32(base), out=mixed)
-            control = counts.sum(axis=0)
-            np.subtract(pooled_hits[first:last], control, out=control)
-            _add_contrasts(total, (control, *counts), sizes, width)
+    def bind(block: int):
+        packed = np.empty(n_words * block * n_paths, dtype=np.float32)
+        buffer = np.empty(n_treat * block * n_draws, dtype=np.float32)
+        hits = np.empty((n_draws, n_paths), dtype=np.float32)
 
-    return reduce
+        def step(labels: np.ndarray, total: np.ndarray) -> None:
+            n_rows = labels.shape[1]
+            masks = packed[:n_words * n_rows * n_paths].reshape(n_words, n_rows, n_paths)
+            # the weight-B treatments set the mixed words, the first n_high
+            # treatments add into them, and the rest fill the other words
+            np.multiply(labels[n_words + 1:], np.float32(base), out=masks[:n_high])
+            np.add(masks[:n_high], labels[1:n_high + 1], out=masks[:n_high])
+            np.copyto(masks[n_high:], labels[n_high + 1:n_words + 1])
+            masks = masks.reshape(n_words * n_rows, n_paths)
+            for first in range(0, n_cols, _CVM_DRAW_BLOCK):
+                last = min(first + _CVM_DRAW_BLOCK, n_cols)
+                n_block = last - first
+                block_hits = hits[:n_block]
+                np.copyto(block_hits, _unpack_words(words[first:last], n_paths))
+                # the product fills the leading n_words planes of the counts
+                counts = buffer[:n_treat * n_rows * n_block].reshape(n_treat, n_rows, n_block)
+                np.matmul(masks, block_hits.T, out=counts[:n_words].reshape(n_words * n_rows, n_block))
+                if n_high:
+                    # a mixed word's x = c_a + B c_b: x / B has integer part c_b
+                    # and fraction c_a / B, each step exact
+                    mixed, high = counts[:n_high], counts[n_words:]
+                    np.multiply(mixed, np.float32(1 / base), out=mixed)
+                    np.floor(mixed, out=high)
+                    np.subtract(mixed, high, out=mixed)
+                    np.multiply(mixed, np.float32(base), out=mixed)
+                control = counts.sum(axis=0)
+                np.subtract(pooled_hits[first:last], control, out=control)
+                _add_contrasts(total, (control, *counts), sizes, width)
+
+        return step
+
+    return 4 * n_words * n_paths + (4 * n_treat + 20) * n_draws, bind
 
 
 def _mean_path_prepare(pooled: np.ndarray, sizes, draws):

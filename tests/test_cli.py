@@ -615,6 +615,26 @@ def test_readme_config_file_example_runs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_readme_library_example_reproduces_funcperm_test(tmp_path, capsys):
+    # README's library example is keyed as `funcperm test --seed 7` keys its
+    # streams, so on CI's 30-unit sample it gives that run's report
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippet = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    csv_path = tmp_path / "sample.csv"
+    _ci_sample_csv(csv_path)
+    assert snippet.count('"paths.csv"') == 1
+    namespace = {}
+    exec(snippet.replace('"paths.csv"', repr(str(csv_path))), namespace)
+    result = namespace["result"]
+    assert run(["test", "--input", csv_path, "--seed", 7, "--out-dir", tmp_path / "out"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    for name in ("cvm", "mean_path"):
+        assert cli._result_dict(getattr(result, name)) == report[name]
+    assert (result.p_value_combined, result.rejected) == (report["combined"]["p_value"],
+                                                          report["combined"]["rejected"])
+    capsys.readouterr()
+
+
 def _ci_sample_csv(path):
     # CI's 30-unit sample: 8 slots, group i % 3, drawn row by row
     rng = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -112,6 +114,27 @@ def test_curve_builders_zero_row_and_metadata():
     ccurve = shift_curve("correlation", [0.0, 0.5], -0.2, 0.2)
     assert ccurve.powers["correlation_comparison"][0] == pytest.approx(0.05, abs=1e-9)
     assert "# chisq_crit_df1 = 3.841459" in ccurve.to_csv_text()
+
+
+def test_nan_points_and_shifts_and_unknown_curves_are_refused():
+    for call in (lambda: cvm_power_mean_shift(1.0, math.nan, 0.4),
+                 lambda: cvm_power_variance_shift(1.0, -0.4, math.nan),
+                 lambda: cvm_power_correlation_shift(1.0, math.nan, 0.2),
+                 lambda: mean_shift_ncp_coefficient(0.4, math.nan),
+                 lambda: shift_curve("mean", [1.0], math.nan, 0.4)):
+        with pytest.raises(ValueError, match="has a NaN coordinate"):
+            call()
+    for call in (lambda: cvm_power_mean_shift(math.nan, 0.4, 0.4), lambda: mean_comparison_power(math.nan),
+                 lambda: cvm_power_variance_shift(math.nan, -0.4, 0.4),
+                 lambda: variance_comparison_power(math.nan),
+                 lambda: cvm_power_correlation_shift(math.nan, -0.2, 0.2),
+                 lambda: correlation_comparison_power(math.nan),
+                 lambda: shift_curve("variance", [0.5, math.nan])):
+        with pytest.raises(ValueError, match="shift must not be NaN"):
+            call()
+    unknown = "unknown shift kind 'foo': expected one of mean, variance, correlation$"
+    with pytest.raises(ValueError, match=unknown):
+        shift_curve("foo")
 
 
 def test_curves_use_computed_critical_values():

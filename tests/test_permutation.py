@@ -572,6 +572,18 @@ def test_engine_cvm_checks_plan_sizes_in_every_block(monkeypatch, label):
             permutation_statistics(pooled, sizes, matrix, statistics, draws)
 
 
+def test_engine_refuses_a_label_dtype_too_narrow_for_the_groups():
+    # the labels are compared in the plan matrix's own dtype; in int8 the
+    # label of group 128 would wrap to -128, which a row can hold
+    n_groups = 129
+    sizes = (1,) * n_groups
+    identity, pooled = np.arange(n_groups)[None, :], np.arange(float(n_groups))[:, None]
+    with pytest.raises(ValueError, match="group sizes"):
+        permutation_statistics(pooled, sizes, identity.astype(np.int8), ("mean_path",))
+    wide = permutation_statistics(pooled, sizes, identity.astype(np.int16), ("mean_path",))
+    assert wide["mean_path"][0] > 0
+
+
 def test_engine_cvm_without_informative_draws_is_zero():
     # every draw lies above every path: no draw separates the groups
     sizes = (3, 4)

@@ -42,6 +42,20 @@ def test_load_accepts_path(tmp_path):
         assert load_samples(fh).n_units == 2
 
 
+def test_leading_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF, which is not part
+    # of the header's first name; only one leading mark is skipped
+    marked = "\ufeff".encode() + MINIMAL
+    path = tmp_path / "marked.csv"
+    path.write_bytes(marked)
+    with open(path, "rb") as binary, open(path, encoding="utf-8") as text:
+        sources = [marked, path, str(path), binary, text, io.StringIO(marked.decode())]
+        for source in sources:
+            assert load_samples(source).paths.tolist() == load_samples(MINIMAL).paths.tolist()
+    with pytest.raises(SampleFormatError, match="malformed header"):
+        load_samples("\ufeff".encode() + marked)
+
+
 def test_nan_token_rejected_with_location():
     bad = b"id,group,t1,t2\n1,0,0.5,NaN\n2,1,0.0,1.0\n"
     with pytest.raises(SampleFormatError, match=r"non-numeric value at \(row 2, col 4\)"):

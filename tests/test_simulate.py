@@ -429,6 +429,36 @@ def test_study_counts_must_be_integers(monkeypatch, setting):
         run_power_study(**{**STUDY_KW, **setting})
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [({"alpha_split": (0.025, True)}, "alpha_split must be a number, got True"),
+     ({"mean_level": False}, "mean_level must be a number, got False"),
+     ({"mean_level": np.True_}, "mean_level must be a number, got np.True_|True"),
+     ({"shift_scale": True}, "shift_scale must be a number, got True"),
+     ({"tests": "energy"}, "tests needs a sequence, got the string 'energy'"),
+     ({"tests": "cvm"}, "tests needs a sequence, got the string 'cvm'"),
+     ({"designs": "1"}, "designs needs a sequence, got the string '1'")],
+    ids=["alpha-bool", "mean-level-bool", "mean-level-numpy-bool", "shift-scale-bool",
+         "tests-energy-text", "tests-cvm-text", "designs-text"],
+)
+def test_study_settings_refuse_bools_and_bare_strings(monkeypatch, setting, message):
+    # True is a flag, not the level 1.0, and a bare string is not a list of
+    # one-character names; both are refused before any replication runs
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulate, "run_replication", no_replication)
+    with pytest.raises(TypeError, match=message):
+        run_power_study(**{**STUDY_KW, **setting})
+
+
+def test_measure_level_refuses_a_bool_and_study_level_reads_numeric_text():
+    with pytest.raises(TypeError, match="mean_level must be a number, got True"):
+        MeasureSpec(3, True)
+    # `funcperm simulate --mu1 2.5` passes the level as written
+    assert StudyConfig((1,), mean_level="2.5").mean_level == 2.5
+
+
 @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
 @pytest.mark.parametrize(
     "call",
@@ -448,6 +478,14 @@ def test_design_and_basis_counts_must_be_integers(call, value):
     with pytest.raises(TypeError):
         call(value)
     call(np.int64(3))
+
+
+def test_design_spec_refuses_unmatched_groups():
+    baseline = synthetic_baseline(8)
+    with pytest.raises(ValueError, match="one parameter set per group is required"):
+        DesignSpec(1, (baseline,) * 2, (3, 3, 3))
+    with pytest.raises(ValueError, match="all groups must share the horizon"):
+        DesignSpec(1, (baseline, baseline, synthetic_baseline(9)), (3, 3, 3))
 
 
 def test_study_config_defaults_echo():

@@ -8,6 +8,7 @@ from funcperm import (
     chisq_cdf,
     chisq_quantile,
     noncentral_chisq_cdf,
+    noncentral_chisq_sf,
     normal_cdf,
     normal_pdf,
 )
@@ -84,6 +85,19 @@ def test_noncentral_df2_past_exp_underflow_against_scipy():
             noncentral_chisq_cdf(1.0, 2, ncp)
         with pytest.raises(ValueError, match="argument too large"):
             noncentral_chisq_cdf(ncp, 2, 1.0)
+
+
+@pytest.mark.parametrize("df", [1, 2])
+def test_nan_argument_and_noncentrality_are_refused(df):
+    # a NaN is refused by name, not passed through as a NaN probability or
+    # reported as a value too large for the df-2 series
+    for function in (noncentral_chisq_sf, noncentral_chisq_cdf):
+        with pytest.raises(ValueError, match="argument must not be NaN"):
+            function(math.nan, df, 1.0)
+        with pytest.raises(ValueError, match="noncentrality must not be NaN"):
+            function(1.0, df, math.nan)
+    with pytest.raises(ValueError, match="argument must not be NaN"):
+        chisq_cdf(math.nan, df)
 
 
 def test_noncentral_monotone_in_ncp():
